@@ -60,16 +60,34 @@ void Client::send_pending() {
 
 void Client::arm_retry() {
   if (retry_timeout_ <= 0 || num_proxies_ < 2) return;
-  const std::uint64_t req = pending_req_;
-  sim_.after(retry_timeout_, [this, req] {
+  sent_at_ = sim_.now();
+  // A pending check fires no later than this send's deadline (requests go
+  // out in time order) and re-arms for it, so one pending check per client
+  // covers every request.
+  if (!retry_check_armed_) arm_retry_check(sent_at_ + retry_timeout_);
+}
+
+void Client::arm_retry_check(Time at) {
+  retry_check_armed_ = true;
+  sim_.at(at, [this] {
     QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kClient);
-    if (!op_in_flight_ || pending_req_ != req) return;
-    // Unanswered: fail over to the next proxy and re-issue. A late reply to
-    // the abandoned request id is ignored by the dispatch check.
-    ++retries_;
-    proxy_ = sim::proxy_id((proxy_.index + 1) % num_proxies_);
-    send_pending();
+    retry_check_armed_ = false;
+    check_retry();
   });
+}
+
+void Client::check_retry() {
+  if (!op_in_flight_) return;  // the next send arms a fresh check
+  const Time due = sent_at_ + retry_timeout_;
+  if (sim_.now() < due) {
+    arm_retry_check(due);  // the request it was armed for was answered
+    return;
+  }
+  // Unanswered: fail over to the next proxy and re-issue. A late reply to
+  // the abandoned request id is ignored by the dispatch check.
+  ++retries_;
+  proxy_ = sim::proxy_id((proxy_.index + 1) % num_proxies_);
+  send_pending();
 }
 
 void Client::on_message(const sim::NodeId& /*from*/, const kv::Message& msg) {

@@ -63,6 +63,8 @@ class Client {
   void issue_next();
   void send_pending();
   void arm_retry();
+  void arm_retry_check(Time at);
+  void check_retry();
   void handle_read_resp(const kv::ClientReadResp& read);
   void handle_write_resp(const kv::ClientWriteResp& write);
   /// Common completion tail: closes the loop and schedules the next op.
@@ -95,6 +97,11 @@ class Client {
   Time issued_at_ = 0;
   kv::Timestamp read_snapshot_;
   kv::Timestamp write_ts_pending_;  // filled on completion for the checker
+
+  // Proxy-failover check: at most one pending event per client; the
+  // in-flight request fails over at sent_at_ + retry_timeout_.
+  Time sent_at_ = 0;
+  bool retry_check_armed_ = false;
 };
 
 }  // namespace qopt

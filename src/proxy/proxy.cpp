@@ -113,6 +113,9 @@ void Proxy::crash() {
     if (op.trace_ctx.valid()) obs_->spans().end_trace(op.trace_ctx, sim_.now());
   }
   ops_.clear();
+  // The deadlines died with the ops; retire the armed event too.
+  ++deadline_gen_;
+  deadline_armed_at_ = kNoDeadline;
   // An unanswered NEWQ drain dies with the in-flight ops; the RM's
   // retransmitted NEWQ after restart is re-answered from scratch.
   drain_waiting_ = false;
@@ -381,8 +384,12 @@ void Proxy::launch_op(std::uint64_t op_id) {
       obs_->spans().open_span(op.trace_ctx, obs::Phase::kQuorumWait,
                               "quorum_wait", node_name_, sim_.now());
   contact_replicas(op_id, op, op.needed);
-  arm_fallback(op_id);
-  arm_retransmit(op_id, 0);
+  // A NACK re-launch starts from fresh deadlines: the aborted attempt's
+  // deadlines died with its op id.
+  op.fallback_at = {deadline_after(options_.fallback_timeout), kNoDeadline};
+  op.retransmit_at = kNoDeadline;
+  set_retransmit_deadline(op, 0);
+  arm_deadline(std::min(op.fallback_at[0], op.retransmit_at));
 }
 
 bool Proxy::quorum_met(const PendingOp& op) const {
@@ -440,25 +447,11 @@ void Proxy::send_request(std::uint64_t op_id, PendingOp& op,
   }
 }
 
-void Proxy::arm_fallback(std::uint64_t op_id) {
-  // "If, after a timeout period, some replies are missing, the request is
-  //  sent to the remaining replicas until the desired quorum is ensured"
-  // (Section 2.1). Rare path, taken mainly under storage failures.
-  sim_.after(options_.fallback_timeout, [this, op_id] {
-    QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kProxy);
-    if (crashed_) return;
-    auto it = ops_.find(op_id);
-    if (it == ops_.end()) return;
-    PendingOp& op = it->second;
-    if (quorum_met(op)) return;
-    if (op.contacted >= static_cast<int>(op.replica_order.size())) return;
-    ins_.fallbacks->inc();
-    trace(obs::Category::kQuorum, "fallback", op.oid);
-    contact_replicas(op_id, op, static_cast<int>(op.replica_order.size()));
-  });
+Time Proxy::deadline_after(Duration d) const {
+  return sim_.now() + std::max<Duration>(d, 0);
 }
 
-void Proxy::arm_retransmit(std::uint64_t op_id, int attempt) {
+void Proxy::set_retransmit_deadline(PendingOp& op, int attempt) {
   // At-least-once RPC plane: after an exponentially backed-off, jittered
   // timeout the op re-sends to contacted-but-silent replicas (same op id;
   // storage dedups applied writes). Disabled by retry_budget = 0.
@@ -466,22 +459,64 @@ void Proxy::arm_retransmit(std::uint64_t op_id, int attempt) {
   double delay = static_cast<double>(options_.retry_base);
   for (int k = 0; k < attempt; ++k) delay *= options_.retry_multiplier;
   delay *= 1.0 + options_.retry_jitter * (2.0 * rng_.next_double() - 1.0);
-  sim_.after(static_cast<Duration>(delay),
-             [this, op_id, attempt, inc = incarnation_] {
-               QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kProxy);
-               if (crashed_ || inc != incarnation_) return;
-               fire_retransmit(op_id, attempt);
-             });
+  op.retransmit_at = deadline_after(static_cast<Duration>(delay));
+  op.retransmit_attempt = attempt;
 }
 
-void Proxy::fire_retransmit(std::uint64_t op_id, int attempt) {
-  auto it = ops_.find(op_id);
-  if (it == ops_.end()) return;  // completed, failed, or NACK-retried
-  PendingOp& op = it->second;
+void Proxy::arm_deadline(Time at) {
+  // An event armed at or before `at` re-arms for it when it fires.
+  if (at >= deadline_armed_at_) return;
+  deadline_armed_at_ = at;
+  sim_.at(at, [this, gen = ++deadline_gen_] {
+    QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kProxy);
+    fire_deadlines(gen);
+  });
+}
+
+void Proxy::fire_deadlines(std::uint64_t gen) {
+  if (crashed_ || gen != deadline_gen_) return;
+  deadline_armed_at_ = kNoDeadline;
+  const Time now = sim_.now();
+  Time next = kNoDeadline;
+  // Issue order: the scan is about ten ops long and iteration order is
+  // part of the deterministic schedule (sends, jitter draws).
+  for (auto it = ops_.begin(); it != ops_.end();) {
+    const std::uint64_t op_id = it->first;
+    PendingOp& op = it->second;
+    ++it;  // a failed op is erased below
+    for (Time& at : op.fallback_at) {
+      if (at <= now) {
+        at = kNoDeadline;
+        fire_fallback(op_id, op);
+      }
+    }
+    if (op.retransmit_at <= now) {
+      op.retransmit_at = kNoDeadline;
+      if (!fire_retransmit(op_id, op)) continue;
+    }
+    next = std::min({next, op.fallback_at[0], op.fallback_at[1],
+                     op.retransmit_at});
+  }
+  if (next != kNoDeadline) arm_deadline(next);
+}
+
+void Proxy::fire_fallback(std::uint64_t op_id, PendingOp& op) {
+  // "If, after a timeout period, some replies are missing, the request is
+  //  sent to the remaining replicas until the desired quorum is ensured"
+  // (Section 2.1). Rare path, taken mainly under storage failures.
   if (quorum_met(op)) return;
+  if (op.contacted >= static_cast<int>(op.replica_order.size())) return;
+  ins_.fallbacks->inc();
+  trace(obs::Category::kQuorum, "fallback", op.oid);
+  contact_replicas(op_id, op, static_cast<int>(op.replica_order.size()));
+}
+
+bool Proxy::fire_retransmit(std::uint64_t op_id, PendingOp& op) {
+  if (quorum_met(op)) return true;
+  const int attempt = op.retransmit_attempt;
   if (attempt >= options_.retry_budget) {
     fail_op(op_id);
-    return;
+    return false;
   }
   ins_.retries->inc();
   trace(obs::Category::kQuorum, "retransmit", op.oid,
@@ -501,7 +536,8 @@ void Proxy::fire_retransmit(std::uint64_t op_id, int attempt) {
     if (op.replied.contains(replica)) continue;
     send_request(op_id, op, replica, /*open_span=*/false);
   }
-  arm_retransmit(op_id, attempt + 1);
+  set_retransmit_deadline(op, attempt + 1);
+  return true;
 }
 
 void Proxy::fail_op(std::uint64_t op_id) {
@@ -651,7 +687,8 @@ void Proxy::maybe_complete_read(std::uint64_t op_id) {
                                   "read_repair", node_name_, sim_.now());
       if (op.received < op.needed) {
         contact_replicas(op_id, op, op.needed);
-        arm_fallback(op_id);
+        op.fallback_at[1] = deadline_after(options_.fallback_timeout);
+        arm_deadline(op.fallback_at[1]);
         return;
       }
       // Fallback already contacted enough replicas; complete below.

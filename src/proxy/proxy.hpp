@@ -23,6 +23,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -191,6 +192,8 @@ class Proxy {
     std::vector<std::uint32_t> members_;  // sorted ascending
   };
 
+  static constexpr Time kNoDeadline = sim::Simulator::kForever;
+
   struct PendingOp {
     enum class Kind { kRead, kWrite, kWriteBack };
     Kind kind = Kind::kRead;
@@ -255,6 +258,13 @@ class Proxy {
     Time prev_reply_at = 0;   // second-to-last counted reply
     Time last_reply_at = 0;   // last counted reply
     std::uint32_t last_replica = 0;  // replica of the last counted reply
+
+    // Deadline-index entries (kNoDeadline when unarmed); they die with the
+    // op. Two fallback slots: the Algorithm-4 repair phase arms its own
+    // fallback while the launch one may still be pending, and both fire.
+    std::array<Time, 2> fallback_at{kNoDeadline, kNoDeadline};
+    Time retransmit_at = kNoDeadline;
+    int retransmit_attempt = 0;  // round the retransmit deadline starts
   };
 
   // ----------------------------------------------------------- client ops
@@ -271,9 +281,22 @@ class Proxy {
   void contact_replicas(std::uint64_t op_id, PendingOp& op, int upto);
   void send_request(std::uint64_t op_id, PendingOp& op, std::uint32_t replica,
                     bool open_span);
-  void arm_fallback(std::uint64_t op_id);
-  void arm_retransmit(std::uint64_t op_id, int attempt);
-  void fire_retransmit(std::uint64_t op_id, int attempt);
+  // Per-proxy deadline index: each PendingOp carries its own fallback and
+  // retransmit deadlines, and one simulator event stays armed at (or
+  // before) the earliest live one. Completing an op needs no cancellation.
+  Time deadline_after(Duration d) const;
+  /// Draws the jittered backoff for retransmit round `attempt` and stores
+  /// the op's retransmit deadline (none when retransmits are disabled).
+  void set_retransmit_deadline(PendingOp& op, int attempt);
+  /// Makes sure the armed event fires no later than `at`.
+  void arm_deadline(Time at);
+  /// The armed event: runs every due fallback/retransmit, re-arms at the
+  /// new earliest deadline. A stale generation (superseded, crash) is a
+  /// no-op.
+  void fire_deadlines(std::uint64_t gen);
+  void fire_fallback(std::uint64_t op_id, PendingOp& op);
+  /// Returns false when the op exhausted its budget and was failed (erased).
+  bool fire_retransmit(std::uint64_t op_id, PendingOp& op);
   void fail_op(std::uint64_t op_id);
   void finish_op(std::uint64_t op_id, PendingOp& op);
   /// Whether the replies in hand form a quorum: the full drawn set answered,
@@ -366,6 +389,11 @@ class Proxy {
   // so iteration must follow issue order, not hash order.
   std::map<std::uint64_t, PendingOp> ops_;
   std::uint64_t next_op_id_ = 1;
+  // The one armed deadline event: its instant (kNoDeadline when none is
+  // armed) and generation. Re-arming earlier or crashing bumps the
+  // generation, which turns the superseded event into a no-op.
+  Time deadline_armed_at_ = kNoDeadline;
+  std::uint64_t deadline_gen_ = 0;
   std::uint64_t write_seq_ = 0;
 
   // Monitoring state (Section 4).

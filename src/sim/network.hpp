@@ -212,14 +212,18 @@ class Network {
       ++stats_.delay_spikes;
       lat += delay_spike_;
     }
-    schedule_delivery(from, to, msg, lat);
     if (duplication_ > 0 && rng_.chance(duplication_)) {
       // The duplicate takes its own latency draw: it may arrive well after
       // the original (receivers must be idempotent), though never before it
-      // on the same link thanks to the FIFO clamp.
-      schedule_delivery(from, to, msg, lat + latency_.sample(rng_),
+      // on the same link thanks to the FIFO clamp. Same draws and the same
+      // scheduling order as deciding after the original is staged.
+      const Duration dup_lat = lat + latency_.sample(rng_);
+      schedule_delivery(from, to, msg, lat);
+      schedule_delivery(from, to, std::move(msg), dup_lat,
                         /*duplicate=*/true);
+      return;
     }
+    schedule_delivery(from, to, std::move(msg), lat);
   }
 
   template <typename Range>
@@ -228,6 +232,12 @@ class Network {
   }
 
   const NetworkStats& stats() const noexcept { return stats_; }
+
+  /// Messages staged for delivery: sent (duplicates included) and not yet
+  /// arrived. Each one holds exactly one pending simulator event.
+  std::size_t in_flight() const noexcept { return in_flight_; }
+  /// Slots in the in-flight slab: the high-water mark of in_flight().
+  std::size_t slab_slots() const noexcept { return slab_.size(); }
 
  private:
   struct NodeState {
@@ -275,7 +285,61 @@ class Network {
     }
   };
 
-  void schedule_delivery(const NodeId& from, const NodeId& to, const M& msg,
+  /// An in-flight message, staged in the slab until its delivery event.
+  /// `next_free` threads the free list through released slots.
+  struct InFlight {
+    NodeId from;
+    NodeId to;
+    bool duplicate = false;
+    std::uint32_t next_free = kNoSlot;
+    M msg;
+  };
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  /// Stages a message in a free slab slot (growing the slab when none is
+  /// free) and returns the slot index.
+  template <typename Msg>
+  std::uint32_t stage(const NodeId& from, const NodeId& to, Msg&& msg,
+                      bool duplicate) {
+    std::uint32_t slot = free_head_;
+    if (slot == kNoSlot) {
+      // Geometric growth, reserved explicitly: the slab only grows while
+      // the number of messages in flight reaches a new high-water mark.
+      if (slab_.size() == slab_.capacity()) {
+        slab_.reserve(std::max<std::size_t>(64, 2 * slab_.size()));
+      }
+      slot = static_cast<std::uint32_t>(slab_.size());
+      slab_.emplace_back();
+    } else {
+      free_head_ = slab_[slot].next_free;
+    }
+    ++in_flight_;
+    InFlight& f = slab_[slot];
+    f.from = from;
+    f.to = to;
+    f.duplicate = duplicate;
+    f.next_free = kNoSlot;
+    f.msg = std::forward<Msg>(msg);
+    return slot;
+  }
+
+  /// Delivery event for `slot`: moves the message out and frees the slot
+  /// before the handler runs, because handlers send and a send may grow
+  /// (reallocate) the slab.
+  void deliver_staged(std::uint32_t slot) {
+    InFlight& f = slab_[slot];
+    const NodeId from = f.from;
+    const NodeId to = f.to;
+    const bool duplicate = f.duplicate;
+    const M msg = std::move(f.msg);
+    f.next_free = free_head_;
+    free_head_ = slot;
+    --in_flight_;
+    deliver(from, to, msg, duplicate);
+  }
+
+  template <typename Msg>
+  void schedule_delivery(const NodeId& from, const NodeId& to, Msg&& msg,
                          Duration lat, bool duplicate = false) {
     // FIFO per ordered pair: clamp the delivery instant to strictly after
     // the previous delivery on this link.
@@ -292,9 +356,11 @@ class Network {
 #endif
     }
     last = deliver_at;
-    sim_.at(deliver_at, [this, from, to, duplicate, m = msg]() {
-      deliver(from, to, m, duplicate);
-    });
+    // The closure is two words, small enough for std::function's local
+    // buffer: scheduling a delivery does not allocate.
+    const std::uint32_t slot =
+        stage(from, to, std::forward<Msg>(msg), duplicate);
+    sim_.at(deliver_at, [this, slot] { deliver_staged(slot); });
   }
 
   void deliver(const NodeId& from, const NodeId& to, const M& msg,
@@ -366,6 +432,11 @@ class Network {
   // the red-black tree walk was pure overhead on the hottest path.
   std::unordered_map<std::pair<NodeId, NodeId>, Time, LinkHash>
       last_delivery_;
+  // In-flight message slab: slots are reused through the free list, so the
+  // steady state stages every message without allocating.
+  std::vector<InFlight> slab_;
+  std::uint32_t free_head_ = kNoSlot;
+  std::size_t in_flight_ = 0;  // occupied slab slots
   NetworkStats stats_;
   SendTap tap_;
   double loss_ = 0.0;

@@ -71,19 +71,21 @@ TEST(AllocGateTest, SteadyStateStaysWithinPerEventBudget) {
   const std::uint64_t allocs = g_alloc_count.load();
   ASSERT_GT(events, 10'000u) << "workload did not reach steady state";
 
-  // Budget: at most 2 heap allocations per simulated event, amortized.
-  // Today's engine measures ~1.3: roughly one std::function per scheduled
-  // event plus per-operation PendingOp bookkeeping (both tracked as the
-  // qopt_perf baseline backlog). The bound leaves jitter headroom but any
-  // systematic +1-per-event regression — reintroduced container churn,
-  // message copies, per-event formatting — fails the gate.
+  // Budget: at most 0.8 heap allocations per simulated event, amortized.
+  // Today's engine measures ~0.62: message deliveries and deadline events
+  // schedule closures small enough for std::function's local buffer, so
+  // what remains is per-operation PendingOp bookkeeping and the larger
+  // component closures (tracked as the qopt_perf baseline backlog). The
+  // bound leaves jitter headroom but a reintroduced per-message or per-op
+  // allocation — a payload-capturing closure, container churn, per-event
+  // formatting — fails the gate.
   const double per_event =
       static_cast<double>(allocs) / static_cast<double>(events);
   RecordProperty("allocs_per_event", std::to_string(per_event));
   std::printf("[alloc-gate] %llu allocations / %llu events = %.3f per event\n",
               static_cast<unsigned long long>(allocs),
               static_cast<unsigned long long>(events), per_event);
-  EXPECT_LE(per_event, 2.0)
+  EXPECT_LE(per_event, 0.8)
       << allocs << " allocations over " << events << " events ("
       << per_event << " per event)";
 }
