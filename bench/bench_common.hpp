@@ -84,13 +84,12 @@ inline bool write_text_file(const std::string& path,
   return true;
 }
 
-/// Dumps the cluster's completed span traces as Chrome trace_event JSON
-/// (load in Perfetto / chrome://tracing). Requires span tracing enabled
-/// (`ClusterConfig::span_sample_every > 0`).
+/// Dumps the cluster's completed span traces and instant events as Chrome
+/// trace_event JSON (load in Perfetto / chrome://tracing). Requires span
+/// tracing enabled (`ClusterConfig::span_sample_every > 0`).
 inline bool export_chrome_trace(const Cluster& cluster,
                                 const std::string& path) {
-  return write_text_file(path,
-                         obs::to_chrome_json(cluster.obs().spans().completed()));
+  return write_text_file(path, obs::to_chrome_json(cluster.obs().spans()));
 }
 
 /// Same spans as a flat CSV (one row per span).

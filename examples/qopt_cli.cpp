@@ -26,7 +26,6 @@
 #include "obs/profiler.hpp"
 #include "obs/report.hpp"
 #include "obs/span_export.hpp"
-#include "obs/trace.hpp"
 #include "oracle/strategy_optimizer.hpp"
 #include "sim/ids.hpp"
 #include "util/flags.hpp"
@@ -54,11 +53,12 @@ void usage() {
       "             weighted non-majority quorum systems; implies --autotune)\n"
       "run:        --duration S (default 60) --warmup S (default 5)\n"
       "            --seed N --csv --json\n"
-      "tracing:    --trace-out FILE   (causal spans, Chrome trace_event JSON\n"
-      "                                — load in Perfetto / chrome://tracing)\n"
+      "tracing:    --trace-out FILE   (causal spans + instant events such as\n"
+      "                                crashes and drops, Chrome trace_event\n"
+      "                                JSON — load in Perfetto /\n"
+      "                                chrome://tracing)\n"
       "            --trace-csv FILE   (same spans as flat CSV)\n"
       "            --trace-sample N   (every Nth trace per kind; default 1)\n"
-      "            --trace-events FILE  (obs tracer JSON, all categories)\n"
       "            --record-ops FILE  (record the executed workload ops)\n"
       "profiling:  --profile          (engine self-profiler: per-subsystem\n"
       "                                cost attribution + queue telemetry in\n"
@@ -204,7 +204,6 @@ int main(int argc, char** argv) {
   const double warmup_s = flags.get_double("warmup", 5);
   const bool csv = flags.get_bool("csv", false);
   const bool json = flags.get_bool("json", false);
-  const std::string trace_events = flags.get_string("trace-events", "");
 
   std::shared_ptr<workload::OperationSource> source;
   if (workload_name == "ycsb-a") {
@@ -244,7 +243,6 @@ int main(int argc, char** argv) {
     // truncated trace (timeline_dropped in the report) rather than OOM.
     cluster.obs().profiler().enable_timeline(1u << 20);
   }
-  if (!trace_events.empty()) cluster.obs().tracer().enable_all();
   cluster.preload(objects, object_bytes);
   cluster.set_workload(source);
 
@@ -347,7 +345,7 @@ int main(int argc, char** argv) {
     }
   };
   if (!trace_out.empty()) {
-    write_file(trace_out, obs::to_chrome_json(cluster.obs().spans().completed()),
+    write_file(trace_out, obs::to_chrome_json(cluster.obs().spans()),
                "traces (Chrome trace)",
                cluster.obs().spans().completed().size());
   }
@@ -364,17 +362,6 @@ int main(int argc, char** argv) {
   // One consistent summary for every output mode: the cluster-wide report
   // over the measurement window.
   const obs::RunReport report = cluster.report(t0, t1);
-  if (!trace_events.empty()) {
-    const std::string events = cluster.obs().tracer().to_json();
-    if (std::FILE* f = std::fopen(trace_events.c_str(), "w")) {
-      std::fwrite(events.data(), 1, events.size(), f);
-      std::fclose(f);
-      std::fprintf(stderr, "%zu trace events written to %s\n",
-                   cluster.obs().tracer().size(), trace_events.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", trace_events.c_str());
-    }
-  }
   if (json) {
     std::printf("%s\n", report.to_json().c_str());
   } else if (csv) {

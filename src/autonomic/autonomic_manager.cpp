@@ -4,7 +4,8 @@
 #include "kv/wire.hpp"
 #include "obs/obs.hpp"
 #include "obs/profiler.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
+#include "obs/span_store.hpp"
 #include "oracle/oracle.hpp"
 #include "oracle/strategy_optimizer.hpp"
 #include "reconfig/reconfig_manager.hpp"
@@ -69,17 +70,6 @@ AutonomicManager::AutonomicManager(sim::Simulator& sim, Net& net,
   ins_.last_kpi = &reg.gauge("am.last_kpi");
 }
 
-AutonomicStats AutonomicManager::stats() const {
-  AutonomicStats s;
-  s.rounds = ins_.rounds->value();
-  s.fine_grain_reconfigs = ins_.fine_grain_reconfigs->value();
-  s.objects_tuned = ins_.objects_tuned->value();
-  s.tail_reconfigs = ins_.tail_reconfigs->value();
-  s.steady_reconfigs = ins_.steady_reconfigs->value();
-  s.restarts = ins_.restarts->value();
-  return s;
-}
-
 void AutonomicManager::start() {
   if (running_) return;
   running_ = true;
@@ -97,11 +87,8 @@ void AutonomicManager::stop() {
 
 void AutonomicManager::emit(const std::string& what) {
   if (on_event_) on_event_(sim_.now(), what);
-  obs::Tracer& tracer = obs_->tracer();
-  if (tracer.enabled(obs::Category::kAutonomic)) {
-    tracer.record(sim_.now(), obs::Category::kAutonomic, "am_event", "am",
-                  round_, 0, what);
-  }
+  obs_->spans().instant(obs::Category::kAutonomic, "am_event", "am",
+                        sim_.now(), round_, 0, what);
 }
 
 void AutonomicManager::begin_round() {

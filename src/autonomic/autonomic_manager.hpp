@@ -71,17 +71,6 @@ struct AutonomicOptions {
   bool drift_hysteresis = true;  // two-round agreement before steady drift
 };
 
-/// Legacy aggregate view; the authoritative instruments live in the shared
-/// `obs::MetricRegistry` under `am.*`.
-struct AutonomicStats {
-  std::uint64_t rounds = 0;
-  std::uint64_t fine_grain_reconfigs = 0;  // per-object batches applied
-  std::uint64_t objects_tuned = 0;
-  std::uint64_t tail_reconfigs = 0;
-  std::uint64_t steady_reconfigs = 0;
-  std::uint64_t restarts = 0;
-};
-
 class AutonomicManager {
  public:
   using Net = sim::Network<kv::Message>;
@@ -108,8 +97,6 @@ class AutonomicManager {
   /// Observability bundle in use (the shared one, or the private fallback).
   obs::Observability& observability() noexcept { return *obs_; }
   const obs::Observability& observability() const noexcept { return *obs_; }
-  [[deprecated("query the metric registry (am.*) instead")]]
-  AutonomicStats stats() const;
   bool converged() const noexcept { return mode_ == Mode::kSteady; }
   std::uint64_t round() const noexcept { return round_; }
   double last_kpi() const noexcept { return last_kpi_; }

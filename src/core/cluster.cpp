@@ -9,7 +9,8 @@
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
+#include "obs/span_store.hpp"
 #include "oracle/oracle.hpp"
 #include "proxy/proxy.hpp"
 #include "reconfig/reconfig_manager.hpp"
@@ -57,13 +58,12 @@ Cluster::Cluster(const ClusterConfig& config)
   if (config_.span_sample_every > 0) {
     obs_.spans().enable_all(config_.span_sample_every);
   }
-  // Membership trace: every suspicion-state flip, whatever its origin
+  // Membership instants: every suspicion-state flip, whatever its origin
   // (oracle FD, heartbeat watcher, injected false suspicion).
   fd_.subscribe([this](const sim::NodeId& node, bool suspected) {
-    obs::Tracer& tracer = obs_.tracer();
-    if (!tracer.enabled(obs::Category::kMembership)) return;
-    tracer.record(sim_.now(), obs::Category::kMembership,
-                  suspected ? "suspect" : "unsuspect", sim::to_string(node));
+    obs_.spans().instant(obs::Category::kMembership,
+                         suspected ? "suspect" : "unsuspect",
+                         sim::to_string(node), sim_.now());
   });
 
   // ---- storage nodes
@@ -159,11 +159,9 @@ Cluster::Cluster(const ClusterConfig& config)
   }
   if (rrm_) {
     rrm_->set_leader_change_hook([this](std::uint32_t leader) {
-      if (obs_.tracer().enabled(obs::Category::kMembership)) {
-        obs_.tracer().record(sim_.now(), obs::Category::kMembership,
-                             "rm_leader", sim::to_string(
-                                 sim::rm_replica_id(leader)));
-      }
+      obs_.spans().instant(obs::Category::kMembership, "rm_leader",
+                           sim::to_string(sim::rm_replica_id(leader)),
+                           sim_.now());
       if (!config_.heartbeat_fd) return;
       for (auto& proxy : proxies_) {
         proxy->set_heartbeat_target(sim::rm_replica_id(leader));
@@ -336,10 +334,8 @@ void Cluster::enable_anti_entropy(const kv::ReplicatorOptions& options) {
 
 void Cluster::crash_proxy(std::uint32_t index) {
   proxies_.at(index)->crash();
-  if (obs_.tracer().enabled(obs::Category::kMembership)) {
-    obs_.tracer().record(sim_.now(), obs::Category::kMembership, "crash",
-                         sim::to_string(sim::proxy_id(index)));
-  }
+  obs_.spans().instant(obs::Category::kMembership, "crash",
+                       sim::to_string(sim::proxy_id(index)), sim_.now());
   // With heartbeat detection the suspicion arises organically from the
   // stopped beats; the oracle path keeps the configured detection delay.
   if (!config_.heartbeat_fd) fd_.node_crashed(sim::proxy_id(index));
@@ -347,10 +343,8 @@ void Cluster::crash_proxy(std::uint32_t index) {
 
 void Cluster::crash_storage(std::uint32_t index) {
   storage_.at(index)->crash();
-  if (obs_.tracer().enabled(obs::Category::kMembership)) {
-    obs_.tracer().record(sim_.now(), obs::Category::kMembership, "crash",
-                         sim::to_string(sim::storage_id(index)));
-  }
+  obs_.spans().instant(obs::Category::kMembership, "crash",
+                       sim::to_string(sim::storage_id(index)), sim_.now());
   fd_.node_crashed(sim::storage_id(index));
 }
 
@@ -365,10 +359,8 @@ void Cluster::restart_proxy(std::uint32_t index) {
 void Cluster::restart_storage(std::uint32_t index) {
   if (!storage_.at(index)->crashed()) return;
   storage_.at(index)->restart();
-  if (obs_.tracer().enabled(obs::Category::kMembership)) {
-    obs_.tracer().record(sim_.now(), obs::Category::kMembership, "restart",
-                         sim::to_string(sim::storage_id(index)));
-  }
+  obs_.spans().instant(obs::Category::kMembership, "restart",
+                       sim::to_string(sim::storage_id(index)), sim_.now());
   fd_.node_recovered(sim::storage_id(index));
 }
 
@@ -380,19 +372,15 @@ void Cluster::inject_false_suspicion(std::uint32_t proxy_index,
 void Cluster::crash_rm(std::uint32_t index) {
   if (!rrm_ || rrm_->replica_crashed(index)) return;
   rrm_->crash_replica(index);
-  if (obs_.tracer().enabled(obs::Category::kMembership)) {
-    obs_.tracer().record(sim_.now(), obs::Category::kMembership, "crash",
-                         sim::to_string(sim::rm_replica_id(index)));
-  }
+  obs_.spans().instant(obs::Category::kMembership, "crash",
+                       sim::to_string(sim::rm_replica_id(index)), sim_.now());
 }
 
 void Cluster::restart_rm(std::uint32_t index) {
   if (!rrm_ || !rrm_->replica_crashed(index)) return;
   rrm_->restart_replica(index);
-  if (obs_.tracer().enabled(obs::Category::kMembership)) {
-    obs_.tracer().record(sim_.now(), obs::Category::kMembership, "restart",
-                         sim::to_string(sim::rm_replica_id(index)));
-  }
+  obs_.spans().instant(obs::Category::kMembership, "restart",
+                       sim::to_string(sim::rm_replica_id(index)), sim_.now());
 }
 
 std::uint64_t Cluster::isolate_rm(std::uint32_t index) {
@@ -446,27 +434,21 @@ std::uint64_t Cluster::isolate(const std::vector<sim::NodeId>& nodes,
   }
   add_if_outside(sim::am_id());
   const std::uint64_t id = net_.add_partition(nodes, rest, symmetric);
-  if (obs_.tracer().enabled(obs::Category::kMembership)) {
-    obs_.tracer().record(sim_.now(), obs::Category::kMembership, "partition",
-                         "net", id, nodes.size());
-  }
+  obs_.spans().instant(obs::Category::kMembership, "partition", "net",
+                       sim_.now(), id, nodes.size());
   return id;
 }
 
 void Cluster::heal_partition(std::uint64_t id) {
   net_.heal_partition(id);
-  if (obs_.tracer().enabled(obs::Category::kMembership)) {
-    obs_.tracer().record(sim_.now(), obs::Category::kMembership, "heal",
-                         "net", id);
-  }
+  obs_.spans().instant(obs::Category::kMembership, "heal", "net", sim_.now(),
+                       id);
 }
 
 void Cluster::heal_all_partitions() {
   net_.heal_all_partitions();
-  if (obs_.tracer().enabled(obs::Category::kMembership)) {
-    obs_.tracer().record(sim_.now(), obs::Category::kMembership, "heal_all",
-                         "net");
-  }
+  obs_.spans().instant(obs::Category::kMembership, "heal_all", "net",
+                       sim_.now());
 }
 
 namespace {

@@ -208,7 +208,7 @@ class Cluster {
 
   sim::Simulator& simulator() noexcept { return sim_; }
   /// Shared observability bundle: every component's instruments live in
-  /// `obs().registry()`, trace events in `obs().tracer()`.
+  /// `obs().registry()`, spans and instant events in `obs().spans()`.
   obs::Observability& obs() noexcept { return obs_; }
   const obs::Observability& obs() const noexcept { return obs_; }
   /// Whole-cluster summary over [0, now()); deterministic for a

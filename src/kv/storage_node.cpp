@@ -7,7 +7,6 @@
 #include "obs/profiler.hpp"
 #include "obs/span.hpp"
 #include "obs/span_store.hpp"
-#include "obs/trace.hpp"
 #include "sim/ids.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -46,18 +45,6 @@ StorageNode::StorageNode(sim::Simulator& sim, Net& net, sim::NodeId self,
       &reg.counter(obs::instrument_name("storage", i, "dup_writes_ignored"));
   ins_.restarts = &reg.counter(obs::instrument_name("storage", i,
                                                     "restarts"));
-}
-
-StorageNodeStats StorageNode::stats() const {
-  StorageNodeStats s;
-  s.reads_served = ins_.reads_served->value();
-  s.writes_applied = ins_.writes_applied->value();
-  s.writes_discarded = ins_.writes_discarded->value();
-  s.nacks_sent = ins_.nacks_sent->value();
-  s.epoch_changes = ins_.epoch_changes->value();
-  s.dup_writes_ignored = ins_.dup_writes_ignored->value();
-  s.restarts = ins_.restarts->value();
-  return s;
 }
 
 void StorageNode::on_message(const sim::NodeId& from, const Message& msg) {
@@ -237,11 +224,6 @@ void StorageNode::handle_new_epoch(const sim::NodeId& from,
   if (msg.config.epno >= config_.epno) {
     if (msg.config.epno > config_.epno) {
       ins_.epoch_changes->inc();
-      if (obs_->tracer().enabled(obs::Category::kReconfig)) {
-        obs_->tracer().record(sim_.now(), obs::Category::kReconfig,
-                              "storage_epoch", node_name_, msg.config.epno,
-                              msg.config.cfno);
-      }
       if (msg.span.valid()) {
         // Zero-duration adoption marker under the RM's epoch-change span.
         obs::SpanStore& spans = obs_->spans();

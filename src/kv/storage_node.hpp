@@ -34,18 +34,6 @@
 
 namespace qopt::kv {
 
-/// Legacy aggregate view; the authoritative instruments live in the shared
-/// `obs::MetricRegistry` under `storage.<index>.*`.
-struct StorageNodeStats {
-  std::uint64_t reads_served = 0;
-  std::uint64_t writes_applied = 0;
-  std::uint64_t writes_discarded = 0;  // older than the stored version
-  std::uint64_t nacks_sent = 0;
-  std::uint64_t epoch_changes = 0;
-  std::uint64_t dup_writes_ignored = 0;  // dedup hits (retransmit/dup)
-  std::uint64_t restarts = 0;
-};
-
 class StorageNode {
  public:
   using Net = sim::Network<Message>;
@@ -73,8 +61,6 @@ class StorageNode {
   /// Observability bundle in use (the shared one, or the private fallback).
   obs::Observability& observability() noexcept { return *obs_; }
   const obs::Observability& observability() const noexcept { return *obs_; }
-  [[deprecated("query the metric registry (storage.<i>.*) instead")]]
-  StorageNodeStats stats() const;
   const ServicePool& service_pool() const noexcept { return pool_; }
 
   /// Number of distinct objects stored (tests/diagnostics).
@@ -156,7 +142,7 @@ class StorageNode {
     obs::Counter* restarts = nullptr;
   };
   Instruments ins_;
-  std::string node_name_;  // cached to_string(self_) for trace events
+  std::string node_name_;  // cached to_string(self_) for spans
 };
 
 }  // namespace qopt::kv

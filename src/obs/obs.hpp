@@ -1,13 +1,12 @@
-// Observability bundle: one MetricRegistry + one Tracer + one SpanStore,
-// shared by every component of a deployment. `qopt::Cluster` owns one and
-// threads it through the network, proxies, storage nodes, RM and AM;
+// Observability bundle: one MetricRegistry + one SpanStore + one engine
+// profiler, shared by every component of a deployment. `qopt::Cluster` owns
+// one and threads it through the network, proxies, storage nodes, RM and AM;
 // stand-alone component tests construct their own and pass a pointer.
 #pragma once
 
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "obs/span_store.hpp"
-#include "obs/trace.hpp"
 
 namespace qopt::obs {
 
@@ -15,8 +14,6 @@ class Observability {
  public:
   MetricRegistry& registry() noexcept { return registry_; }
   const MetricRegistry& registry() const noexcept { return registry_; }
-  Tracer& tracer() noexcept { return tracer_; }
-  const Tracer& tracer() const noexcept { return tracer_; }
   SpanStore& spans() noexcept { return spans_; }
   const SpanStore& spans() const noexcept { return spans_; }
   /// Engine self-profiler (off until enabled; see docs/OBSERVABILITY.md).
@@ -26,7 +23,6 @@ class Observability {
  private:
   // Registry first: the span store mirrors its counters there.
   MetricRegistry registry_;
-  Tracer tracer_;
   SpanStore spans_{&registry_};
   EngineProfiler profiler_;
 };

@@ -37,4 +37,15 @@ const char* to_string(TraceKind kind) noexcept {
   return "unknown";
 }
 
+const char* to_string(Category category) noexcept {
+  switch (category) {
+    case Category::kQuorum: return "quorum";
+    case Category::kReconfig: return "reconfig";
+    case Category::kMembership: return "membership";
+    case Category::kAutonomic: return "autonomic";
+    case Category::kNet: return "net";
+  }
+  return "unknown";
+}
+
 }  // namespace qopt::obs

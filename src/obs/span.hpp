@@ -67,6 +67,31 @@ inline constexpr std::size_t kNumTraceKinds = 5;
 
 const char* to_string(TraceKind kind) noexcept;
 
+/// Instant-event categories: the rare events no span records. Each category
+/// keeps its own capped ring, so a flood in one never evicts another.
+enum class Category : std::uint8_t {
+  kQuorum = 0,  // fallback fan-outs
+  kReconfig,    // version skew, resyncs, RM retransmits, abandoned rounds
+  kMembership,  // suspicions, crashes, restarts, partitions, RM leadership
+  kAutonomic,   // AM decisions
+  kNet,         // message drops
+};
+
+inline constexpr std::size_t kNumCategories = 5;
+
+const char* to_string(Category category) noexcept;
+
+/// A zero-duration event at one node. `a`/`b` are event-specific numeric
+/// arguments (object id, epno, cfno, ...); `detail` is free-form text.
+struct Instant {
+  Time at = 0;
+  std::string name;
+  std::string node;
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  std::string detail;
+};
+
 /// One span of a trace. `span_id` is 1-based and assigned in open order, so
 /// `parent_id < span_id` always holds and parentage is acyclic by
 /// construction. `a`/`b` are phase-specific annotations (object id,

@@ -33,12 +33,20 @@ void append_us(std::string& out, Time ns) {
   out.push_back(static_cast<char>('0' + rem % 10));
 }
 
+Category category_at(std::size_t index) {
+  return static_cast<Category>(index);
+}
+
 /// Deterministic tid per node: sorted node names get 0, 1, 2, ...
-std::map<std::string, int> assign_tids(
-    const std::deque<CompletedTrace>& traces) {
+std::map<std::string, int> assign_tids(const SpanStore& store) {
   std::map<std::string, int> tids;
-  for (const CompletedTrace& trace : traces) {
+  for (const CompletedTrace& trace : store.completed()) {
     for (const Span& span : trace.spans) tids.emplace(span.node, 0);
+  }
+  for (std::size_t c = 0; c < kNumCategories; ++c) {
+    for (const Instant& event : store.instants(category_at(c))) {
+      tids.emplace(event.node, 0);
+    }
   }
   int next = 0;
   for (auto& [node, tid] : tids) tid = next++;
@@ -47,23 +55,25 @@ std::map<std::string, int> assign_tids(
 
 }  // namespace
 
-std::string to_chrome_json(const std::deque<CompletedTrace>& traces) {
-  const std::map<std::string, int> tids = assign_tids(traces);
+std::string to_chrome_json(const SpanStore& store) {
+  const std::map<std::string, int> tids = assign_tids(store);
   std::string out = "{\"traceEvents\":[";
   bool first = true;
-  for (const auto& [node, tid] : tids) {
+  const auto separate = [&out, &first] {
     if (!first) out.push_back(',');
     first = false;
+  };
+  for (const auto& [node, tid] : tids) {
+    separate();
     out.append("{\"ph\":\"M\",\"pid\":1,\"tid\":");
     out.append(std::to_string(tid));
     out.append(",\"name\":\"thread_name\",\"args\":{\"name\":");
     append_json_string(out, node);
     out.append("}}");
   }
-  for (const CompletedTrace& trace : traces) {
+  for (const CompletedTrace& trace : store.completed()) {
     for (const Span& span : trace.spans) {
-      if (!first) out.push_back(',');
-      first = false;
+      separate();
       out.append("{\"ph\":\"X\",\"pid\":1,\"tid\":");
       out.append(std::to_string(tids.at(span.node)));
       out.append(",\"ts\":");
@@ -86,6 +96,28 @@ std::string to_chrome_json(const std::deque<CompletedTrace>& traces) {
       out.append(std::to_string(span.a));
       out.append(",\"b\":");
       out.append(std::to_string(span.b));
+      out.append("}}");
+    }
+  }
+  for (std::size_t c = 0; c < kNumCategories; ++c) {
+    for (const Instant& event : store.instants(category_at(c))) {
+      separate();
+      out.append("{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":");
+      out.append(std::to_string(tids.at(event.node)));
+      out.append(",\"ts\":");
+      append_us(out, event.at);
+      out.append(",\"name\":");
+      append_json_string(out, event.name);
+      out.append(",\"cat\":\"");
+      out.append(to_string(category_at(c)));
+      out.append("\",\"args\":{\"a\":");
+      out.append(std::to_string(event.a));
+      out.append(",\"b\":");
+      out.append(std::to_string(event.b));
+      if (!event.detail.empty()) {
+        out.append(",\"detail\":");
+        append_json_string(out, event.detail);
+      }
       out.append("}}");
     }
   }

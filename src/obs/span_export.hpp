@@ -11,11 +11,13 @@
 
 namespace qopt::obs {
 
-/// `{"traceEvents":[...]}` — "M" thread-name metadata per node plus one
-/// "X" (complete) event per span; `ts`/`dur` are microseconds with
-/// nanosecond precision (three decimals), `args` carry the causal context
-/// (trace/span/parent ids, phase, annotations).
-std::string to_chrome_json(const std::deque<CompletedTrace>& traces);
+/// `{"traceEvents":[...]}` — "M" thread-name metadata per node, one "X"
+/// (complete) event per span, then one "i" (instant, thread scope) event per
+/// buffered instant, category by category, oldest first. `ts`/`dur` are
+/// microseconds with nanosecond precision (three decimals); span `args`
+/// carry the causal context (trace/span/parent ids, phase, annotations),
+/// instant `args` carry `a`, `b` and `detail` when set.
+std::string to_chrome_json(const SpanStore& store);
 
 /// Flat rows:
 /// `trace_id,kind,span_id,parent_id,phase,name,node,start_ns,end_ns,dur_ns,a,b`

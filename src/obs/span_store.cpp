@@ -162,9 +162,24 @@ void SpanStore::end_trace(SpanContext root, Time at) {
   }
 }
 
+void SpanStore::instant(Category category, std::string_view name,
+                        std::string_view node, Time at, std::uint64_t a,
+                        std::uint64_t b, std::string_view detail) {
+  if (!active_) return;
+  const auto c = static_cast<std::size_t>(category);
+  std::deque<Instant>& ring = instants_[c];
+  ring.push_back(Instant{at, std::string(name), std::string(node), a, b,
+                         std::string(detail)});
+  while (ring.size() > max_completed_) {
+    ring.pop_front();
+    ++instants_evicted_[c];
+  }
+}
+
 void SpanStore::clear() {
   live_.clear();
   completed_.clear();
+  for (std::deque<Instant>& ring : instants_) ring.clear();
   live_spans_ = 0;
 }
 

@@ -3,7 +3,8 @@
 // Producers (proxies, storage nodes, the RM, the replicator) open and close
 // spans against the store; when a trace's root ends, the whole trace moves
 // into a bounded completed ring that exporters and the critical-path
-// analyzer read. Design rules:
+// analyzer read. Rare events no span records (crashes, suspicions, drops,
+// AM decisions) are kept beside the traces as instant events. Design rules:
 //
 //  * Sampling is per trace kind: "every Nth trace", decided by the
 //    monotonically assigned trace id, so it is deterministic for a
@@ -12,11 +13,14 @@
 //    `SpanContext` and every subsequent call on it is a cheap no-op.
 //  * Bounded everywhere, never silently: a hard cap on spans held by live
 //    traces (`obs.spans_dropped` counts refused opens) and a cap on
-//    completed traces (`obs.traces_evicted` counts ring evictions).
+//    completed traces (`obs.traces_evicted` counts ring evictions). Instant
+//    events keep one ring per category under the same completed cap, each
+//    with its own eviction count, so a frequent category (message drops)
+//    never evicts a rare one (crashes).
 //  * Late closes tolerated: once a trace ends (its open spans force-closed
 //    at the trace end), a straggler reply's close is a no-op.
 //  * Deterministic storage: live traces in an ordered map keyed by trace
-//    id, completed traces in arrival order.
+//    id, completed traces and instants in arrival order.
 #pragma once
 
 #include <array>
@@ -62,7 +66,7 @@ class SpanStore {
   // --------------------------------------------------------------- bounds
   /// `max_live_spans` caps spans held by not-yet-ended traces (opens beyond
   /// it are refused and counted); `max_completed` caps the finished ring
-  /// (oldest evicted and counted).
+  /// (oldest evicted and counted) and each instant-event ring.
   void set_limits(std::size_t max_live_spans, std::size_t max_completed);
 
   // ------------------------------------------------------------ recording
@@ -81,10 +85,23 @@ class SpanStore {
   /// Ends a trace: force-closes every still-open span at `at` (so completed
   /// traces are always balanced) and moves it to the completed ring.
   void end_trace(SpanContext root, Time at);
+  /// Records a zero-duration event in `category`'s ring. No-op unless
+  /// active(): the sampling switch turns instants on and off with spans.
+  void instant(Category category, std::string_view name, std::string_view node,
+               Time at, std::uint64_t a = 0, std::uint64_t b = 0,
+               std::string_view detail = {});
 
   // ----------------------------------------------------------- inspection
   const std::deque<CompletedTrace>& completed() const noexcept {
     return completed_;
+  }
+  /// Buffered instants of one category, oldest first.
+  const std::deque<Instant>& instants(Category category) const noexcept {
+    return instants_[static_cast<std::size_t>(category)];
+  }
+  /// Instants of `category` pushed out of its full ring.
+  std::uint64_t instants_evicted(Category category) const noexcept {
+    return instants_evicted_[static_cast<std::size_t>(category)];
   }
   std::size_t live_traces() const noexcept { return live_.size(); }
   std::size_t live_spans() const noexcept { return live_spans_; }
@@ -96,8 +113,8 @@ class SpanStore {
     return spans_forced_closed_;
   }
 
-  /// Drops all live and completed traces (sampling config and counters
-  /// survive).
+  /// Drops all live and completed traces and buffered instants (sampling
+  /// config and counters survive).
   void clear();
 
  private:
@@ -110,6 +127,8 @@ class SpanStore {
   // deterministically.
   std::map<std::uint64_t, LiveTrace> live_;
   std::deque<CompletedTrace> completed_;
+  std::array<std::deque<Instant>, kNumCategories> instants_;
+  std::array<std::uint64_t, kNumCategories> instants_evicted_{};
   std::uint64_t next_trace_id_ = 1;
   std::array<std::uint32_t, kNumTraceKinds> every_{};  // 0 = off
   bool active_ = false;

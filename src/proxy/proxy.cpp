@@ -6,7 +6,6 @@
 #include "obs/profiler.hpp"
 #include "obs/span.hpp"
 #include "obs/span_store.hpp"
-#include "obs/trace.hpp"
 #include "proxy/proxy.hpp"
 #include "sim/ids.hpp"
 #include "sim/simulator.hpp"
@@ -78,31 +77,6 @@ Proxy::Proxy(sim::Simulator& sim, Net& net, sim::NodeId self,
       &reg.histogram(obs::instrument_name("proxy", i, "straggler_excess_ns"));
 }
 
-ProxyStats Proxy::stats() const {
-  ProxyStats s;
-  s.client_reads = ins_.client_reads->value();
-  s.client_writes = ins_.client_writes->value();
-  s.not_found_reads = ins_.not_found_reads->value();
-  s.repair_reads = ins_.repair_reads->value();
-  s.writebacks = ins_.writebacks->value();
-  s.nacks_received = ins_.nacks_received->value();
-  s.op_retries = ins_.op_retries->value();
-  s.fallbacks = ins_.fallbacks->value();
-  s.reconfigurations = ins_.reconfigurations->value();
-  s.retries = ins_.retries->value();
-  s.timeouts = ins_.timeouts->value();
-  s.duplicate_replies = ins_.duplicate_replies->value();
-  s.restarts = ins_.restarts->value();
-  return s;
-}
-
-void Proxy::trace(obs::Category category, const char* name, std::uint64_t a,
-                  std::uint64_t b) {
-  obs::Tracer& tracer = obs_->tracer();
-  if (!tracer.enabled(category)) return;
-  tracer.record(sim_.now(), category, name, node_name_, a, b);
-}
-
 void Proxy::crash() {
   crashed_ = true;
   ++incarnation_;  // invalidates already-scheduled CPU-queue completions
@@ -131,7 +105,8 @@ void Proxy::restart() {
   crashed_ = false;
   net_.set_crashed(self_, false);
   ins_.restarts->inc();
-  trace(obs::Category::kMembership, "restart");
+  obs_->spans().instant(obs::Category::kMembership, "restart", node_name_,
+                        sim_.now());
   if (hb_enabled_) heartbeat_loop(++hb_gen_);
 }
 
@@ -246,7 +221,6 @@ void Proxy::on_message(const sim::NodeId& from, const Message& msg) {
 void Proxy::handle_client_read(const sim::NodeId& from,
                                const kv::ClientReadReq& req) {
   ins_.client_reads->inc();
-  trace(obs::Category::kOp, "read_start", req.oid);
   const Time arrival = sim_.now();
   const Time ready = pool_.submit(arrival, options_.op_cost);
   const obs::SpanContext trace_ctx =
@@ -264,7 +238,6 @@ void Proxy::handle_client_read(const sim::NodeId& from,
 void Proxy::handle_client_write(const sim::NodeId& from,
                                 const kv::ClientWriteReq& req) {
   ins_.client_writes->inc();
-  trace(obs::Category::kOp, "write_start", req.oid);
   const Time arrival = sim_.now();
   const Time ready = pool_.submit(arrival, options_.op_cost);
   const obs::SpanContext trace_ctx =
@@ -507,7 +480,8 @@ void Proxy::fire_fallback(std::uint64_t op_id, PendingOp& op) {
   if (quorum_met(op)) return;
   if (op.contacted >= static_cast<int>(op.replica_order.size())) return;
   ins_.fallbacks->inc();
-  trace(obs::Category::kQuorum, "fallback", op.oid);
+  obs_->spans().instant(obs::Category::kQuorum, "fallback", node_name_,
+                        sim_.now(), op.oid);
   contact_replicas(op_id, op, static_cast<int>(op.replica_order.size()));
 }
 
@@ -519,8 +493,6 @@ bool Proxy::fire_retransmit(std::uint64_t op_id, PendingOp& op) {
     return false;
   }
   ins_.retries->inc();
-  trace(obs::Category::kQuorum, "retransmit", op.oid,
-        static_cast<std::uint64_t>(attempt));
   if (op.trace_ctx.valid()) {
     // Zero-duration marker: retransmit rounds show up on the op's trace.
     obs::SpanStore& spans = obs_->spans();
@@ -544,7 +516,6 @@ void Proxy::fail_op(std::uint64_t op_id) {
   auto node = ops_.extract(op_id);
   PendingOp op = std::move(node.mapped());
   ins_.timeouts->inc();
-  trace(obs::Category::kOp, "op_failed", op.oid);
   abort_op_spans(op, sim_.now());
   if (op.trace_ctx.valid()) {
     obs::SpanStore& spans = obs_->spans();
@@ -676,8 +647,6 @@ void Proxy::maybe_complete_read(std::uint64_t op_id) {
       op.footprint_needed = old_r;
       op.drawn.clear();
       ins_.repair_reads->inc();
-      trace(obs::Category::kQuorum, "read_repair", op.oid,
-            static_cast<std::uint64_t>(old_r));
       // Second wait phase: the historical-quorum re-read (Algorithm 4).
       op.wait_start = sim_.now();
       op.prev_reply_at = 0;
@@ -717,7 +686,6 @@ void Proxy::handle_write_reply(const sim::NodeId& from,
 
 void Proxy::handle_nack(const kv::EpochNack& nack) {
   ins_.nacks_received->inc();
-  trace(obs::Category::kQuorum, "nack", nack.op_id, nack.config.epno);
   if (nack.config.epno > lepno_) adopt_full_config(nack.config);
   auto it = ops_.find(nack.op_id);
   if (it == ops_.end()) return;
@@ -784,8 +752,6 @@ void Proxy::finish_op(std::uint64_t op_id, PendingOp& op_ref) {
     const Duration latency = sim_.now() - op.start_time;
     auto* hist = is_read ? ins_.read_latency_ns : ins_.write_latency_ns;
     hist->record(static_cast<double>(latency));
-    trace(obs::Category::kOp, is_read ? "read_finish" : "write_finish",
-          op.oid, static_cast<std::uint64_t>(latency));
     round_latency_sum_ms_ += to_millis(latency);
     if (on_complete_) {
       on_complete_(OpRecord{op.oid, !is_read, op.start_time, sim_.now(),
@@ -822,8 +788,9 @@ void Proxy::handle_new_quorum(const sim::NodeId& from,
     // Future strategy encoding this proxy cannot decode: stay silent (no
     // ack) so the install cannot take effect with a half-understood payload;
     // the RM keeps retransmitting and operators see the stalled handshake.
-    trace(obs::Category::kReconfig, "proxy_newq_version_skew", msg.epno,
-          msg.strategy_version);
+    obs_->spans().instant(obs::Category::kReconfig, "proxy_newq_version_skew",
+                          node_name_, sim_.now(), msg.epno,
+                          msg.strategy_version);
     return;
   }
   if (msg.cfno <= lcfno_) {
@@ -845,7 +812,6 @@ void Proxy::handle_new_quorum(const sim::NodeId& from,
     commit_pending_change();
   }
   ins_.reconfigurations->inc();
-  trace(obs::Category::kReconfig, "proxy_newq", msg.epno, msg.cfno);
   // Drain span, parented under the RM's NEWQ phase span; a stale one (the
   // previous drain was superseded before its ops completed) is closed here.
   if (drain_span_.valid()) obs_->spans().close_span(drain_span_, sim_.now());
@@ -915,7 +881,6 @@ void Proxy::op_completed_for_drain() {
 }
 
 void Proxy::handle_confirm(const sim::NodeId& from, const kv::ConfirmMsg& msg) {
-  trace(obs::Category::kReconfig, "proxy_confirm", msg.epno, msg.cfno);
   if (msg.span.valid()) {
     // Zero-duration adoption marker under the RM's CONFIRM phase span.
     obs::SpanStore& spans = obs_->spans();
@@ -943,7 +908,8 @@ void Proxy::commit_pending_change() {
 }
 
 void Proxy::adopt_full_config(const kv::FullConfig& config) {
-  trace(obs::Category::kReconfig, "proxy_resync", config.epno, config.cfno);
+  obs_->spans().instant(obs::Category::kReconfig, "proxy_resync", node_name_,
+                        sim_.now(), config.epno, config.cfno);
   lepno_ = config.epno;
   if (config.cfno >= lcfno_) {
     lcfno_ = config.cfno;

@@ -39,7 +39,6 @@
 #include "obs/obs.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "sim/ids.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
@@ -70,24 +69,6 @@ struct ProxyOptions {
   Duration retry_base = milliseconds(250);
   double retry_multiplier = 2.0;
   double retry_jitter = 0.2;
-};
-
-/// Legacy aggregate view; the authoritative instruments live in the shared
-/// `obs::MetricRegistry` under `proxy.<index>.*`.
-struct ProxyStats {
-  std::uint64_t client_reads = 0;
-  std::uint64_t client_writes = 0;
-  std::uint64_t not_found_reads = 0;
-  std::uint64_t repair_reads = 0;   // Algorithm 4 second-phase reads
-  std::uint64_t writebacks = 0;     // repaired values rewritten
-  std::uint64_t nacks_received = 0;
-  std::uint64_t op_retries = 0;     // re-executions after a NACK
-  std::uint64_t fallbacks = 0;      // timeout fan-outs to remaining replicas
-  std::uint64_t reconfigurations = 0;
-  std::uint64_t retries = 0;           // timeout retransmit rounds
-  std::uint64_t timeouts = 0;          // ops failed after the retry budget
-  std::uint64_t duplicate_replies = 0; // replies ignored by replica dedup
-  std::uint64_t restarts = 0;
 };
 
 /// Completion record surfaced to the metrics layer.
@@ -161,8 +142,6 @@ class Proxy {
   /// Observability bundle in use (the shared one, or the private fallback).
   obs::Observability& observability() noexcept { return *obs_; }
   const obs::Observability& observability() const noexcept { return *obs_; }
-  [[deprecated("query the metric registry (proxy.<i>.*) instead")]]
-  ProxyStats stats() const;
   std::size_t pending_ops() const noexcept { return ops_.size(); }
   std::size_t override_count() const noexcept { return overrides_.size(); }
 
@@ -451,10 +430,7 @@ class Proxy {
     LatencyHistogram* straggler_excess_ns = nullptr;
   };
   Instruments ins_;
-  std::string node_name_;  // cached to_string(self_) for trace events
-
-  void trace(obs::Category category, const char* name, std::uint64_t a = 0,
-             std::uint64_t b = 0);
+  std::string node_name_;  // cached to_string(self_) for spans and instants
 
   OpCallback on_complete_;
 };

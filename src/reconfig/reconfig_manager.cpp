@@ -5,7 +5,6 @@
 #include "obs/profiler.hpp"
 #include "obs/span.hpp"
 #include "obs/span_store.hpp"
-#include "obs/trace.hpp"
 #include "reconfig/reconfig_manager.hpp"
 #include "sim/failure_detector.hpp"
 #include "sim/ids.hpp"
@@ -58,24 +57,6 @@ ReconfigManager::ReconfigManager(sim::Simulator& sim, Net& net,
   ins_.cfno = &reg.gauge("rm.cfno");
 }
 
-ReconfigStats ReconfigManager::stats() const {
-  ReconfigStats s;
-  s.reconfigurations_completed = ins_.reconfigurations_completed->value();
-  s.epoch_changes = ins_.epoch_changes->value();
-  s.rejected_invalid = ins_.rejected_invalid->value();
-  s.retries = ins_.retries->value();
-  s.total_reconfig_time =
-      static_cast<Duration>(ins_.reconfig_time_ns->value());
-  return s;
-}
-
-void ReconfigManager::trace(obs::Category category, const char* name,
-                            std::uint64_t a, std::uint64_t b) {
-  obs::Tracer& tracer = obs_->tracer();
-  if (!tracer.enabled(category)) return;
-  tracer.record(sim_.now(), category, name, "rm", a, b);
-}
-
 void ReconfigManager::begin_phase_span(obs::Phase phase, const char* name) {
   obs::SpanStore& spans = obs_->spans();
   if (phase_span_.valid()) {
@@ -119,7 +100,6 @@ void ReconfigManager::start_next() {
   started_at_ = sim_.now();
   acked_proxies_.clear();
   phase_ = Phase::kNewQuorum;
-  trace(obs::Category::kReconfig, "rm_start", canonical_.epno, current_cfno_);
   round_trace_ = obs_->spans().start_trace(obs::TraceKind::kReconfig,
                                            "reconfig", "rm", sim_.now());
   begin_phase_span(obs::Phase::kRmNewq, "rm_newq");
@@ -147,8 +127,8 @@ void ReconfigManager::arm_phase_retransmit(int attempt) {
 
 void ReconfigManager::resend_phase() {
   ins_.retries->inc();
-  trace(obs::Category::kReconfig, "rm_retransmit", canonical_.epno,
-        current_cfno_);
+  obs_->spans().instant(obs::Category::kReconfig, "rm_retransmit", "rm",
+                        sim_.now(), canonical_.epno, current_cfno_);
   switch (phase_) {
     case Phase::kNewQuorum: {
       const kv::NewQuorumMsg msg{canonical_.epno, current_cfno_,
@@ -323,8 +303,6 @@ void ReconfigManager::evaluate_phase1() {
 
 void ReconfigManager::begin_confirm() {
   phase_ = Phase::kConfirm;
-  trace(obs::Category::kReconfig, "rm_confirm", canonical_.epno,
-        current_cfno_);
   begin_phase_span(obs::Phase::kRmConfirm, "rm_confirm");
   acked_proxies_.clear();
   const kv::ConfirmMsg msg{canonical_.epno, current_cfno_, phase_span_};
@@ -386,8 +364,6 @@ void ReconfigManager::begin_epoch_change(bool after_phase1) {
 }
 
 void ReconfigManager::drive_epoch_broadcast() {
-  trace(obs::Category::kReconfig, "rm_epoch_change", canonical_.epno,
-        current_cfno_);
   begin_phase_span(obs::Phase::kRmEpoch, "rm_epoch_change");
   epoch_payload_.epno = canonical_.epno;
   // A re-drive (new leader, or a second decided bump landing while this
@@ -495,8 +471,6 @@ bool ReconfigManager::apply_commit(const smr::Command& entry) {
   }
   ins_.cfno->set(static_cast<double>(canonical_.cfno));
   if (this_round) {
-    trace(obs::Category::kReconfig, "rm_commit", canonical_.epno,
-          canonical_.cfno);
     if (phase_span_.valid()) {
       obs_->spans().close_span(phase_span_, sim_.now(), canonical_.epno,
                                canonical_.cfno);
@@ -533,8 +507,8 @@ void ReconfigManager::set_leader_active(bool active) {
 }
 
 void ReconfigManager::abandon_round() {
-  trace(obs::Category::kReconfig, "rm_round_abandoned", canonical_.epno,
-        current_cfno_);
+  obs_->spans().instant(obs::Category::kReconfig, "rm_round_abandoned", "rm",
+                        sim_.now(), canonical_.epno, current_cfno_);
   if (phase_span_.valid()) {
     obs_->spans().close_span(phase_span_, sim_.now(), canonical_.epno,
                              current_cfno_);

@@ -34,7 +34,6 @@
 #include "obs/obs.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "sim/failure_detector.hpp"
 #include "sim/ids.hpp"
 #include "sim/network.hpp"
@@ -43,16 +42,6 @@
 #include "util/time.hpp"
 
 namespace qopt::reconfig {
-
-/// Legacy aggregate view; the authoritative instruments live in the shared
-/// `obs::MetricRegistry` under `rm.*`.
-struct ReconfigStats {
-  std::uint64_t reconfigurations_completed = 0;
-  std::uint64_t epoch_changes = 0;
-  std::uint64_t rejected_invalid = 0;
-  std::uint64_t retries = 0;  // phase-message retransmit rounds
-  Duration total_reconfig_time = 0;  // summed wall (virtual) time
-};
 
 class ReconfigManager {
  public:
@@ -127,8 +116,6 @@ class ReconfigManager {
   /// Observability bundle in use (the shared one, or the private fallback).
   obs::Observability& observability() noexcept { return *obs_; }
   const obs::Observability& observability() const noexcept { return *obs_; }
-  [[deprecated("query the metric registry (rm.*) instead")]]
-  ReconfigStats stats() const;
 
  private:
   enum class Phase {
@@ -246,9 +233,6 @@ class ReconfigManager {
     obs::Gauge* cfno = nullptr;
   };
   Instruments ins_;
-
-  void trace(obs::Category category, const char* name, std::uint64_t a = 0,
-             std::uint64_t b = 0);
 };
 
 }  // namespace qopt::reconfig

@@ -26,7 +26,8 @@
 #include "obs/obs.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
+#include "obs/span_store.hpp"
 #include "sim/ids.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -165,7 +166,7 @@ class Network {
   void set_send_tap(SendTap tap) { tap_ = std::move(tap); }
 
   /// Mirror message accounting into a shared registry (instruments under
-  /// `net.*`) and emit kNet drop traces. The internal NetworkStats stays
+  /// `net.*`) and record kNet drop instants. The internal NetworkStats stays
   /// authoritative so the template works standalone without an obs bundle.
   void bind_observability(obs::Observability* o) {
     obs_ = o;
@@ -419,9 +420,10 @@ class Network {
   }
 
   void trace_drop(const char* name, const NodeId& from, const NodeId& to) {
-    if (!obs_ || !obs_->tracer().enabled(obs::Category::kNet)) return;
-    obs_->tracer().record(sim_.now(), obs::Category::kNet, name,
-                          to_string(from), 0, 0, to_string(to));
+    // Checked here as well: the node names are built only when recorded.
+    if (!obs_ || !obs_->spans().active()) return;
+    obs_->spans().instant(obs::Category::kNet, name, to_string(from),
+                          sim_.now(), 0, 0, to_string(to));
   }
 
   Simulator& sim_;

@@ -130,8 +130,8 @@ std::pair<std::string, std::string> traced_chaos_run(std::uint64_t seed) {
   Nemesis nemesis(cluster, chaos);
   nemesis.start();
   cluster.run_for(seconds(8));
-  const auto& completed = cluster.obs().spans().completed();
-  return {obs::to_chrome_json(completed), obs::to_span_csv(completed)};
+  return {obs::to_chrome_json(cluster.obs().spans()),
+          obs::to_span_csv(cluster.obs().spans().completed())};
 }
 
 TEST(SpanDeterminism, ByteIdenticalExportsUnderNemesisFaults) {

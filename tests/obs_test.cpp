@@ -1,6 +1,7 @@
 // Unit tests for the observability layer (src/obs): registry snapshot and
-// delta semantics, export determinism, tracer ring-buffer eviction, and the
-// end-to-end same-seed guarantee — byte-identical trace and RunReport JSON.
+// delta semantics, export determinism, per-category instant-event rings, and
+// the end-to-end same-seed guarantee — byte-identical trace and RunReport
+// JSON.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,8 +11,11 @@
 #include "obs/obs.hpp"
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
+#include "obs/span_export.hpp"
+#include "obs/span_store.hpp"
 #include "util/histogram.hpp"
+#include "util/time.hpp"
 #include "workload/workload.hpp"
 
 namespace qopt {
@@ -137,77 +141,57 @@ TEST(MetricRegistryTest, ExportsEnumerateInNameOrder) {
   EXPECT_EQ(csv, reg.snapshot().to_csv());
 }
 
-// ------------------------------------------------------------------ tracer
+// ---------------------------------------------------------- instant events
 
-TEST(TracerTest, DisabledByDefaultAndMaskGatesRecording) {
-  obs::Tracer tracer(16);
-  EXPECT_EQ(tracer.mask(), 0u);
-  tracer.record(1, obs::Category::kOp, "read_start", "proxy.0");
-  EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(tracer.recorded(), 0u);
+TEST(InstantEventTest, OffWhileTheStoreIsInactive) {
+  obs::SpanStore store;
+  store.instant(obs::Category::kMembership, "crash", "proxy.1", 5);
+  EXPECT_TRUE(store.instants(obs::Category::kMembership).empty());
 
-  tracer.enable(static_cast<std::uint32_t>(obs::Category::kQuorum));
-  EXPECT_FALSE(tracer.enabled(obs::Category::kOp));
-  EXPECT_TRUE(tracer.enabled(obs::Category::kQuorum));
-  tracer.record(2, obs::Category::kOp, "read_start", "proxy.0");
-  tracer.record(3, obs::Category::kQuorum, "nack", "proxy.0", 7);
-  ASSERT_EQ(tracer.size(), 1u);
-  const auto events = tracer.events();
-  EXPECT_EQ(events[0].name, "nack");
-  EXPECT_EQ(events[0].at, 3);
-  EXPECT_EQ(events[0].a, 7u);
+  // Sampling any trace kind turns instants on, whatever their category.
+  store.set_sampling(obs::TraceKind::kWrite, 1);
+  store.instant(obs::Category::kMembership, "crash", "proxy.1", 6, 2, 3,
+                "why");
+  ASSERT_EQ(store.instants(obs::Category::kMembership).size(), 1u);
+  const obs::Instant& event = store.instants(obs::Category::kMembership)[0];
+  EXPECT_EQ(event.at, 6);
+  EXPECT_EQ(event.name, "crash");
+  EXPECT_EQ(event.node, "proxy.1");
+  EXPECT_EQ(event.a, 2u);
+  EXPECT_EQ(event.b, 3u);
+  EXPECT_EQ(event.detail, "why");
+
+  store.disable_all();
+  store.instant(obs::Category::kMembership, "restart", "proxy.1", 7);
+  EXPECT_EQ(store.instants(obs::Category::kMembership).size(), 1u);
 }
 
-TEST(TracerTest, RingEvictsOldestAndCountsEvictions) {
-  obs::Tracer tracer(4);
-  tracer.enable_all();
+TEST(InstantEventTest, FloodInOneCategoryNeverEvictsAnother) {
+  obs::SpanStore store;
+  store.enable_all();
+  store.set_limits(/*max_live_spans=*/16, /*max_completed=*/4);
+  store.instant(obs::Category::kMembership, "crash", "proxy.1", 1);
   for (int i = 0; i < 10; ++i) {
-    tracer.record(i, obs::Category::kOp, "op", "n",
+    store.instant(obs::Category::kNet, "drop_link_loss", "proxy.0", 2 + i,
                   static_cast<std::uint64_t>(i));
   }
-  EXPECT_EQ(tracer.size(), 4u);
-  EXPECT_EQ(tracer.recorded(), 10u);
-  EXPECT_EQ(tracer.evicted(), 6u);
-  const auto events = tracer.events();
-  ASSERT_EQ(events.size(), 4u);
-  // Newest `capacity` events survive, oldest first.
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].a, 6u + i);
+  ASSERT_EQ(store.instants(obs::Category::kMembership).size(), 1u);
+  EXPECT_EQ(store.instants_evicted(obs::Category::kMembership), 0u);
+  // The flooded ring keeps its newest `max_completed` events, oldest first,
+  // and counts what it lost.
+  const auto& drops = store.instants(obs::Category::kNet);
+  ASSERT_EQ(drops.size(), 4u);
+  EXPECT_EQ(store.instants_evicted(obs::Category::kNet), 6u);
+  for (std::size_t i = 0; i < drops.size(); ++i) {
+    EXPECT_EQ(drops[i].a, 6u + i);
   }
+  const std::string json = obs::to_chrome_json(store);
+  EXPECT_NE(json.find("\"name\":\"crash\""), std::string::npos);
+  EXPECT_EQ(json, obs::to_chrome_json(store));  // stable across calls
+
+  store.clear();
+  EXPECT_TRUE(store.instants(obs::Category::kNet).empty());
 }
-
-TEST(TracerTest, SetCapacityDropsEventsButKeepsMask) {
-  obs::Tracer tracer(8);
-  tracer.enable_all();
-  tracer.record(1, obs::Category::kNet, "drop", "net");
-  tracer.set_capacity(2);
-  EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(tracer.capacity(), 2u);
-  EXPECT_EQ(tracer.mask(), obs::kAllCategories);
-  tracer.record(2, obs::Category::kNet, "drop", "net");
-  tracer.record(3, obs::Category::kNet, "drop", "net");
-  tracer.record(4, obs::Category::kNet, "drop", "net");
-  EXPECT_EQ(tracer.size(), 2u);
-  EXPECT_EQ(tracer.evicted(), 1u);
-
-  tracer.clear();
-  EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(tracer.recorded(), 0u);
-  EXPECT_EQ(tracer.evicted(), 0u);
-}
-
-TEST(TracerTest, ToJsonListsEventsOldestFirst) {
-  obs::Tracer tracer(4);
-  tracer.enable_all();
-  tracer.record(10, obs::Category::kReconfig, "rm_start", "rm", 1, 2, "q=3:3");
-  tracer.record(20, obs::Category::kMembership, "crash", "proxy.1");
-  const std::string json = tracer.to_json();
-  EXPECT_LT(json.find("rm_start"), json.find("crash"));
-  EXPECT_NE(json.find("\"detail\":\"q=3:3\""), std::string::npos);
-  EXPECT_EQ(json, tracer.to_json());  // stable across calls
-}
-
-// --------------------------------------------------- same-seed determinism
 
 ClusterConfig small_config(std::uint64_t seed) {
   ClusterConfig config;
@@ -220,6 +204,29 @@ ClusterConfig small_config(std::uint64_t seed) {
   return config;
 }
 
+TEST(InstantEventTest, LossyRunKeepsAnEarlyProxyCrash) {
+  ClusterConfig config = small_config(5);
+  config.net_loss = 0.1;
+  config.client_retry_timeout = milliseconds(1000);
+  config.span_sample_every = 10;
+  config.span_completed_limit = 16;
+  Cluster cluster(config);
+  cluster.preload(200, 1024);
+  cluster.set_workload(workload::ycsb_a(200));
+  cluster.simulator().at(milliseconds(200),
+                         [&cluster] { cluster.crash_proxy(1); });
+  cluster.run_for(seconds(5));
+
+  // Message drops overflowed their ring; the crash is still there.
+  const obs::SpanStore& spans = cluster.obs().spans();
+  EXPECT_GT(spans.instants_evicted(obs::Category::kNet), 0u);
+  const std::string json = obs::to_chrome_json(spans);
+  EXPECT_NE(json.find("\"ph\":\"i\",\"s\":\"t\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"crash\""), std::string::npos);
+}
+
+// --------------------------------------------------- same-seed determinism
+
 struct RunArtifacts {
   std::string trace_json;
   std::string report_json;
@@ -227,8 +234,9 @@ struct RunArtifacts {
 };
 
 RunArtifacts run_and_export(std::uint64_t seed) {
-  Cluster cluster(small_config(seed));
-  cluster.obs().tracer().enable_all();
+  ClusterConfig config = small_config(seed);
+  config.span_sample_every = 10;
+  Cluster cluster(config);
   cluster.preload(200, 1024);
   cluster.set_workload(workload::ycsb_b(200));
   cluster.enable_autotuning({});
@@ -236,7 +244,7 @@ RunArtifacts run_and_export(std::uint64_t seed) {
   cluster.reconfigure({1, 3});
   cluster.run_for(seconds(2));
   RunArtifacts out;
-  out.trace_json = cluster.obs().tracer().to_json();
+  out.trace_json = obs::to_chrome_json(cluster.obs().spans());
   out.report_json = cluster.report().to_json();
   out.instruments_csv = cluster.obs().registry().snapshot().to_csv();
   return out;
@@ -248,8 +256,10 @@ TEST(ObservabilityDeterminismTest, SameSeedYieldsByteIdenticalExports) {
   EXPECT_EQ(a.trace_json, b.trace_json);
   EXPECT_EQ(a.report_json, b.report_json);
   EXPECT_EQ(a.instruments_csv, b.instruments_csv);
-  // The run actually produced traffic — the comparison is not vacuous.
-  EXPECT_NE(a.trace_json, "[]");
+  // The run actually produced traffic and instant events (AM decisions) —
+  // the comparison is not vacuous.
+  EXPECT_NE(a.trace_json.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(a.trace_json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(a.report_json.find("\"ops\""), std::string::npos);
 }
 

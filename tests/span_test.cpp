@@ -254,7 +254,7 @@ std::string chrome_export(std::uint32_t sample_every) {
   cluster.preload(300, 2048);
   cluster.set_workload(workload::ycsb_a(300));
   cluster.run_for(seconds(5));
-  return obs::to_chrome_json(cluster.obs().spans().completed());
+  return obs::to_chrome_json(cluster.obs().spans());
 }
 
 std::string csv_export(std::uint32_t sample_every) {
