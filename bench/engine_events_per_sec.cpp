@@ -10,7 +10,9 @@
 // counts, per-wire-message-type delivery counts, queue telemetry — to the
 // JSON. Attribution counts are simulation facts: they are byte-identical
 // across same-seed reruns, and their per-subsystem sum equals the scale's
-// event total (asserted by tests/profiler_test.cpp).
+// event total (asserted by tests/profiler_test.cpp). The profiler is reset
+// at warm-up end, so a profile covers exactly the measured window; a scale
+// whose profile.events_total differs from its events fails the run.
 //
 // Determinism: all simulation-derived fields (events, ops, messages,
 // events per virtual second, profile attribution) are byte-identical
@@ -58,6 +60,7 @@ struct ScaleResult {
   std::uint64_t rss_kb = 0;
   // --profile attribution (empty string otherwise).
   std::string profile_json;
+  std::uint64_t profile_events = 0;
 };
 
 /// Current resident set in KiB, from /proc/self/statm. getrusage's
@@ -95,6 +98,7 @@ ScaleResult run_scale(const ScalePoint& scale, bool deterministic,
   cluster.set_workload(qopt::workload::ycsb_b(4096));
 
   cluster.run_for(qopt::seconds(1));  // warmup: reach steady state
+  cluster.obs().profiler().reset();   // profile the measured window only
   const qopt::Time t0 = cluster.now();
   const std::uint64_t events_before = cluster.simulator().events_processed();
   // qopt-lint: allow(wall-clock) measuring host engine speed, not simulated time
@@ -128,6 +132,7 @@ ScaleResult run_scale(const ScalePoint& scale, bool deterministic,
     qopt::obs::ProfileReport prof = cluster.obs().profiler().report();
     if (deterministic) prof.zero_wall();
     r.profile_json = prof.to_json();
+    r.profile_events = prof.events_total;
   }
   return r;
 }
@@ -204,6 +209,7 @@ int main(int argc, char** argv) {
   json += std::string("  \"profiled\": ") + (profile ? "true" : "false") +
           ",\n";
   json += "  \"seed\": 42,\n  \"scales\": [\n";
+  int status = 0;
   for (std::size_t i = 0; i < ladder.size(); ++i) {
     const ScaleResult r = run_scale(ladder[i], deterministic, profile);
     std::printf(
@@ -212,6 +218,15 @@ int main(int argc, char** argv) {
         r.scale.name, static_cast<unsigned long long>(r.events),
         static_cast<unsigned long long>(r.ops), r.events_per_virtual_second,
         r.events_per_second, static_cast<unsigned long long>(r.rss_kb));
+    if (profile && r.profile_events != r.events) {
+      std::fprintf(stderr,
+                   "%s: profile.events_total %llu != events %llu: the "
+                   "profile does not cover the measured window\n",
+                   r.scale.name,
+                   static_cast<unsigned long long>(r.profile_events),
+                   static_cast<unsigned long long>(r.events));
+      status = 1;
+    }
     append_json(json, r);
     json += i + 1 < ladder.size() ? ",\n" : "\n";
   }
@@ -219,5 +234,5 @@ int main(int argc, char** argv) {
 
   if (!qopt::bench::write_text_file(out_path, json)) return 1;
   std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  return status;
 }

@@ -161,22 +161,26 @@ void StorageNode::handle_write(const sim::NodeId& from,
                         node_name_, sim_.now());
     spans.close_span(s, done, req.oid, self_.index);
   }
-  sim_.at(done, [this, from, req, inc = incarnation_] {
+  // The completion captures only what it applies; the span closed above.
+  const ObjectId oid = req.oid;
+  const std::uint64_t op_id = req.op_id;
+  const Version& version = req.version;
+  sim_.at(done, [this, from, oid, op_id, version, inc = incarnation_] {
     QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kStorage);
     if (crashed_ || inc != incarnation_) return;
     // Apply-or-discard at service completion: newer timestamps win; an older
     // write is discarded but still acknowledged (Section 2.1).
-    auto [it, inserted] = store_.try_emplace(req.oid, req.version);
+    auto [it, inserted] = store_.try_emplace(oid, version);
     if (!inserted) {
-      if (req.version.ts > it->second.ts) {
-        it->second = req.version;
+      if (version.ts > it->second.ts) {
+        it->second = version;
         ins_.writes_applied->inc();
-      } else if (req.version.ts == it->second.ts &&
-                 req.version.cfno > it->second.cfno) {
+      } else if (version.ts == it->second.ts &&
+                 version.cfno > it->second.cfno) {
         // Same write re-propagated under a newer configuration (the
         // read-repair write-back of Algorithm 4): refresh the cfno tag so
         // future reads need not repeat the historical-quorum read.
-        it->second.cfno = req.version.cfno;
+        it->second.cfno = version.cfno;
         ins_.writes_applied->inc();
       } else {
         ins_.writes_discarded->inc();
@@ -185,12 +189,12 @@ void StorageNode::handle_write(const sim::NodeId& from,
       ins_.writes_applied->inc();
     }
     auto& applied = applied_writes_for(from.index);
-    applied.insert(req.op_id);
+    applied.insert(op_id);
     // Bound the window; proxy op-ids grow monotonically, so evicting the
     // smallest ids loses only the oldest (least likely to re-arrive) ones.
     constexpr std::size_t kDedupWindow = 4096;
     while (applied.size() > kDedupWindow) applied.erase(applied.begin());
-    net_.send(self_, from, StorageWriteResp{req.op_id});
+    net_.send(self_, from, StorageWriteResp{op_id});
   });
 }
 

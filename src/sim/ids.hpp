@@ -2,6 +2,7 @@
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -15,6 +16,7 @@ enum class NodeKind : std::uint8_t {
   kReconfigManager,
   kAutonomicManager,
 };
+inline constexpr std::size_t kNodeKindCount = 5;
 
 const char* to_string(NodeKind kind) noexcept;
 

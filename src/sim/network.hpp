@@ -15,10 +15,12 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -81,22 +83,35 @@ class Network {
   Network(Simulator& sim, LatencyModel latency, Rng rng)
       : sim_(sim), latency_(latency), rng_(rng) {}
 
+  /// Registers `id` (re-registering replaces the handler and clears the
+  /// crash flag). Registration is the only operation that sizes the dense
+  /// node and link tables; send and deliver only index them.
   void register_node(const NodeId& id, Handler handler) {
-    nodes_[id] = NodeState{std::move(handler), /*crashed=*/false};
+    if (NodeState* known = find(id)) {
+      *known = NodeState{std::move(handler), false, known->ordinal};
+      return;
+    }
+    const auto ordinal = static_cast<std::uint32_t>(nodes_.size());
+    // qopt-perf: allow(vector-growth-hot) registration; deques never move
+    nodes_.push_back(NodeState{std::move(handler), false, ordinal});
+    std::vector<NodeState*>& row = by_kind_[kind_of(id)];
+    if (id.index >= row.size()) row.resize(id.index + std::size_t{1});
+    row[id.index] = &nodes_.back();
+    grow_links(nodes_.size());
+    adopt_stray_links();
   }
 
   /// A crashed node neither sends nor receives; messages already in flight
   /// to it are dropped at delivery time. Pass false to model a recovery
-  /// (crash-recovery nodes re-attach with their durable state).
+  /// (crash-recovery nodes re-attach with their durable state). A no-op for
+  /// an id that was never registered.
   void set_crashed(const NodeId& id, bool crashed = true) {
-    if (auto it = nodes_.find(id); it != nodes_.end()) {
-      it->second.crashed = crashed;
-    }
+    if (NodeState* state = find(id)) state->crashed = crashed;
   }
 
   bool is_crashed(const NodeId& id) const {
-    auto it = nodes_.find(id);
-    return it != nodes_.end() && it->second.crashed;
+    const NodeState* state = find(id);
+    return state != nullptr && state->crashed;
   }
 
   // ------------------------------------------------------ link-fault plane
@@ -190,8 +205,8 @@ class Network {
     ++stats_.messages_sent;
     if (sent_) sent_->inc();
     if (tap_) tap_(from, to);
-    auto from_it = nodes_.find(from);
-    if (from_it != nodes_.end() && from_it->second.crashed) {
+    const NodeState* sender = find(from);
+    if (sender != nullptr && sender->crashed) {
       ++stats_.messages_dropped;
       ++stats_.dropped_sender_crashed;
       if (drop_sender_) drop_sender_->inc();
@@ -219,12 +234,12 @@ class Network {
       // on the same link thanks to the FIFO clamp. Same draws and the same
       // scheduling order as deciding after the original is staged.
       const Duration dup_lat = lat + latency_.sample(rng_);
-      schedule_delivery(from, to, msg, lat);
-      schedule_delivery(from, to, std::move(msg), dup_lat,
+      schedule_delivery(from, sender, to, msg, lat);
+      schedule_delivery(from, sender, to, std::move(msg), dup_lat,
                         /*duplicate=*/true);
       return;
     }
-    schedule_delivery(from, to, std::move(msg), lat);
+    schedule_delivery(from, sender, to, std::move(msg), lat);
   }
 
   template <typename Range>
@@ -244,6 +259,14 @@ class Network {
   struct NodeState {
     Handler handler;
     bool crashed = false;
+    std::uint32_t ordinal = 0;  // registration order: row/column in links_
+  };
+
+  /// FIFO clock of an ordered link with a never-registered endpoint.
+  struct StrayLink {
+    NodeId from;
+    NodeId to;
+    Time last = 0;
   };
 
   struct Partition {
@@ -265,26 +288,65 @@ class Network {
     return std::clamp(p, 0.0, 1.0);
   }
 
-  /// Hash of an ordered (from, to) link. Each NodeId packs exactly into
-  /// (kind << 32) | index, so distinct links mix distinct inputs; the FIFO
-  /// table is never iterated, only probed, so hash order can't leak into
-  /// the deterministic schedule.
-  struct LinkHash {
-    std::size_t operator()(
-        const std::pair<NodeId, NodeId>& link) const noexcept {
-      const std::uint64_t a =
-          (static_cast<std::uint64_t>(link.first.kind) << 32) |
-          link.first.index;
-      const std::uint64_t b =
-          (static_cast<std::uint64_t>(link.second.kind) << 32) |
-          link.second.index;
-      std::uint64_t h = a * 0x9E3779B97F4A7C15ull ^ b;
-      h ^= h >> 33;
-      h *= 0xFF51AFD7ED558CCDull;
-      h ^= h >> 33;
-      return static_cast<std::size_t>(h);
+  static std::size_t kind_of(const NodeId& id) noexcept {
+    return static_cast<std::size_t>(id.kind);
+  }
+
+  /// The registered state of `id`, or null: two bounds checks and a load.
+  NodeState* find(const NodeId& id) const noexcept {
+    if (kind_of(id) >= kNodeKindCount) return nullptr;
+    const std::vector<NodeState*>& row = by_kind_[kind_of(id)];
+    return id.index < row.size() ? row[id.index] : nullptr;
+  }
+
+  /// Grows the square link-clock matrix to cover `nodes` registered nodes,
+  /// doubling its stride so re-layouts stay rare.
+  void grow_links(std::size_t nodes) {
+    if (nodes <= link_stride_) return;
+    const std::size_t stride = std::max<std::size_t>(16, 2 * link_stride_);
+    std::vector<Time> grown(stride * stride, Time{0});
+    for (std::size_t a = 0; a < link_stride_; ++a) {
+      std::copy_n(links_.data() + a * link_stride_, link_stride_,
+                  grown.data() + a * stride);
     }
-  };
+    links_ = std::move(grown);
+    link_stride_ = stride;
+  }
+
+  /// Moves the clocks of stray links whose endpoints are now both
+  /// registered into the matrix, so FIFO order carries across registration.
+  void adopt_stray_links() {
+    std::erase_if(stray_links_, [this](const StrayLink& link) {
+      const NodeState* a = find(link.from);
+      const NodeState* b = find(link.to);
+      if (a == nullptr || b == nullptr) return false;
+      links_[a->ordinal * link_stride_ + b->ordinal] = link.last;
+      return true;
+    });
+  }
+
+  /// The last delivery instant on from -> to. Links between registered
+  /// nodes live in the dense matrix; a link with a never-registered
+  /// endpoint (test harnesses send from bare ids) takes the cold, sorted
+  /// stray table instead, so the FIFO clamp still holds per ordered pair.
+  Time& link_clock(const NodeId& from, const NodeState* sender,
+                   const NodeId& to) {
+    if (const NodeState* receiver = find(to);
+        sender != nullptr && receiver != nullptr) {
+      return links_[sender->ordinal * link_stride_ + receiver->ordinal];
+    }
+    const auto less = [](const StrayLink& link,
+                         const std::pair<NodeId, NodeId>& key) {
+      return std::pair{link.from, link.to} < key;
+    };
+    const std::pair<NodeId, NodeId> key{from, to};
+    auto it = std::lower_bound(stray_links_.begin(), stray_links_.end(), key,
+                               less);
+    if (it == stray_links_.end() || it->from != from || it->to != to) {
+      it = stray_links_.insert(it, StrayLink{from, to, 0});
+    }
+    return it->last;
+  }
 
   /// An in-flight message, staged in the slab until its delivery event.
   /// `next_free` threads the free list through released slots.
@@ -340,12 +402,13 @@ class Network {
   }
 
   template <typename Msg>
-  void schedule_delivery(const NodeId& from, const NodeId& to, Msg&& msg,
-                         Duration lat, bool duplicate = false) {
+  void schedule_delivery(const NodeId& from, const NodeState* sender,
+                         const NodeId& to, Msg&& msg, Duration lat,
+                         bool duplicate = false) {
     // FIFO per ordered pair: clamp the delivery instant to strictly after
     // the previous delivery on this link.
     Time deliver_at = sim_.now() + lat;
-    auto& last = last_delivery_[{from, to}];
+    Time& last = link_clock(from, sender, to);
     if (deliver_at <= last) {
       deliver_at = last + 1;
 #if QOPT_PROFILE_ENABLED
@@ -357,8 +420,6 @@ class Network {
 #endif
     }
     last = deliver_at;
-    // The closure is two words, small enough for std::function's local
-    // buffer: scheduling a delivery does not allocate.
     const std::uint32_t slot =
         stage(from, to, std::forward<Msg>(msg), duplicate);
     sim_.at(deliver_at, [this, slot] { deliver_staged(slot); });
@@ -378,15 +439,17 @@ class Network {
       prof = nullptr;
     }
 #endif
-    auto it = nodes_.find(to);
-    if (it == nodes_.end() || !it->second.handler) {
+    // A registered NodeState never moves (nodes_ is a deque), so the
+    // handler below runs in place even if it registers further nodes.
+    NodeState* receiver = find(to);
+    if (receiver == nullptr || !receiver->handler) {
       ++stats_.messages_dropped;
       ++stats_.dropped_unroutable;
       if (drop_unroutable_) drop_unroutable_->inc();
       trace_drop("drop_unroutable", from, to);
       return;
     }
-    if (it->second.crashed) {
+    if (receiver->crashed) {
       ++stats_.messages_dropped;
       ++stats_.dropped_receiver_crashed;
       if (drop_receiver_) drop_receiver_->inc();
@@ -416,7 +479,7 @@ class Network {
       }
     }
 #endif
-    it->second.handler(from, msg);
+    receiver->handler(from, msg);
   }
 
   void trace_drop(const char* name, const NodeId& from, const NodeId& to) {
@@ -429,11 +492,15 @@ class Network {
   Simulator& sim_;
   LatencyModel latency_;
   Rng rng_;
-  std::unordered_map<NodeId, NodeState, NodeIdHash> nodes_;
-  // Hashed, not ordered: probed once per message send (the FIFO clamp), so
-  // the red-black tree walk was pure overhead on the hottest path.
-  std::unordered_map<std::pair<NodeId, NodeId>, Time, LinkHash>
-      last_delivery_;
+  // Registered nodes in registration order, and a per-kind table indexed
+  // by NodeId::index that points into it (null: never registered).
+  std::deque<NodeState> nodes_;
+  std::array<std::vector<NodeState*>, kNodeKindCount> by_kind_{};
+  // FIFO clamp: last delivery instant per ordered pair of registered
+  // nodes, a link_stride_ x link_stride_ matrix indexed by ordinal.
+  std::vector<Time> links_;
+  std::size_t link_stride_ = 0;
+  std::vector<StrayLink> stray_links_;  // sorted by (from, to)
   // In-flight message slab: slots are reused through the free list, so the
   // steady state stages every message without allocating.
   std::vector<InFlight> slab_;

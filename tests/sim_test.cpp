@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -105,6 +109,111 @@ TEST(SimulatorTest, StepProcessesOneEvent) {
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(sim.step());
   EXPECT_FALSE(sim.step());
+}
+
+// ------------------------------------------------------------- event store
+
+/// Heap object that counts its own destruction; held by std::unique_ptr so
+/// a closure capturing it is move-only.
+struct LifeProbe {
+  LifeProbe(int* run_count, int* destroy_count)
+      : runs(run_count), destroyed(destroy_count) {}
+  ~LifeProbe() { ++*destroyed; }
+  LifeProbe(const LifeProbe&) = delete;
+  LifeProbe& operator=(const LifeProbe&) = delete;
+  int* runs;
+  int* destroyed;
+};
+
+TEST(EventStoreTest, MoveOnlyCaptureRunsOnceAndIsDestroyedOnce) {
+  int runs = 0;
+  int destroyed = 0;
+  {
+    Simulator sim;
+    for (int i = 1; i <= 8; ++i) {
+      auto probe = std::make_unique<LifeProbe>(&runs, &destroyed);
+      sim.at(10 * i, [p = std::move(probe)] { ++*p->runs; });
+    }
+    sim.run(40);
+    EXPECT_EQ(runs, 4);
+    EXPECT_EQ(destroyed, 4);  // a closure is destroyed right after it runs
+    // Growing the slab relocates the four pending closures; none is lost
+    // or destroyed twice.
+    for (int i = 0; i < 500; ++i) sim.at(1'000, [] {});
+    EXPECT_EQ(destroyed, 4);
+    EXPECT_EQ(sim.pending(), 504u);
+  }
+  // Destroying the simulator destroys the four pending closures unrun.
+  EXPECT_EQ(runs, 4);
+  EXPECT_EQ(destroyed, 8);
+}
+
+TEST(EventStoreTest, EventThatGrowsTheSlabRunsSafely) {
+  Simulator sim;
+  std::vector<int> order;
+  std::array<int, 20> payload{};
+  payload.fill(7);
+  int sum = 0;
+  sim.at(1, [&sim, &order, &sum, payload] {
+    // Scheduling from inside the body grows (and relocates) the slab many
+    // times over; the running closure was moved out of its slot first, so
+    // its captures stay valid.
+    for (int i = 0; i < 1'000; ++i) {
+      sim.at(2, [&order, i] { order.push_back(i); });
+    }
+    for (const int v : payload) sum += v;
+  });
+  sim.run();
+  EXPECT_EQ(sum, 140);
+  ASSERT_EQ(order.size(), 1'000u);
+  for (int i = 0; i < 1'000; ++i) {
+    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  }
+}
+
+TEST(EventStoreTest, SameInstantOrderSurvivesSlotRecycling) {
+  Simulator sim;
+  // 37 and 64 are coprime, so these events run (and free their slots) in a
+  // scrambled slot order, and the free list hands the slots back scrambled.
+  for (int i = 0; i < 64; ++i) sim.at((i * 37) % 64, [] {});
+  sim.run();
+  std::vector<int> order;
+  for (int i = 0; i < 64; ++i) {
+    sim.at(100, [&order, i] { order.push_back(i); });
+  }
+  // Same-instant events scheduled from inside an event reuse the slot the
+  // running event just released and still run after the earlier ones.
+  sim.at(100, [&sim, &order] {
+    order.push_back(64);
+    sim.at(100, [&order] { order.push_back(65); });
+  });
+  sim.run();
+  ASSERT_EQ(order.size(), 66u);
+  for (int i = 0; i < 66; ++i) {
+    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  }
+}
+
+/// A callable of exactly N bytes.
+template <std::size_t N>
+struct Padded {
+  std::array<std::byte, N> pad{};
+  void operator()() const {}
+};
+
+template <typename F>
+constexpr bool schedulable = requires(Simulator& sim, F a, F b) {
+  sim.at(Time{0}, std::move(a));
+  sim.after(Duration{0}, std::move(b));
+};
+
+TEST(EventStoreTest, InlineCapacityIsTheLimit) {
+  static_assert(sizeof(Padded<kEventCapacity>) == kEventCapacity);
+  static_assert(schedulable<Padded<kEventCapacity>>);
+  static_assert(!schedulable<Padded<kEventCapacity + 1>>);
+  Simulator sim;
+  sim.at(5, Padded<kEventCapacity>{});
+  EXPECT_EQ(sim.run(), 1u);
 }
 
 // ---------------------------------------------------------------- node ids
@@ -261,6 +370,88 @@ TEST_F(NetFixture, DropReasonsSumToTotalAndMirrorIntoRegistry) {
   EXPECT_EQ(reg.counter_value("net.dropped.receiver_crashed"), 1u);
   EXPECT_EQ(reg.counter_value("net.dropped.sender_crashed"), 1u);
   EXPECT_EQ(reg.counter_value("net.messages_delivered"), 0u);
+}
+
+TEST_F(NetFixture, NeverRegisteredEndpointsKeepFifoAndDropOnce) {
+  std::vector<int> received;
+  net.register_node(proxy_id(0), [&](const NodeId&, const std::string& m) {
+    received.push_back(std::stoi(m));
+  });
+  // From a never-registered sender: delivered, in send order.
+  for (int i = 0; i < 100; ++i) {
+    net.send(client_id(3), proxy_id(0), std::to_string(i));
+  }
+  // To a never-registered receiver: each message is dropped exactly once.
+  for (int i = 0; i < 50; ++i) net.send(client_id(3), proxy_id(9), "lost");
+  for (int i = 0; i < 50; ++i) net.send(proxy_id(0), storage_id(4), "lost");
+  sim.run();
+  ASSERT_EQ(received.size(), 100u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(received[static_cast<size_t>(i)], i);
+  EXPECT_EQ(net.stats().messages_delivered, 100u);
+  EXPECT_EQ(net.stats().dropped_unroutable, 100u);
+  EXPECT_EQ(net.stats().messages_dropped, 100u);
+}
+
+TEST_F(NetFixture, FifoClampCarriesAcrossRegistration) {
+  std::vector<int> received;
+  int next = 0;
+  const auto burst = [&] {
+    for (int i = 0; i < 50; ++i) {
+      net.send(client_id(5), storage_id(2), std::to_string(next++));
+    }
+  };
+  burst();  // neither endpoint registered yet
+  net.register_node(storage_id(2), [&](const NodeId&, const std::string& m) {
+    received.push_back(std::stoi(m));
+  });
+  burst();  // the receiver registered while the first burst is in flight
+  net.register_node(client_id(5), [](const NodeId&, const std::string&) {});
+  burst();  // both registered
+  sim.run();
+  ASSERT_EQ(received.size(), 150u);
+  for (int i = 0; i < 150; ++i) EXPECT_EQ(received[static_cast<size_t>(i)], i);
+}
+
+TEST_F(NetFixture, CrashCallsOnUnknownIdsAreNoOps) {
+  const NodeId bogus{static_cast<NodeKind>(200), 0};
+  net.set_crashed(proxy_id(7));
+  net.set_crashed(client_id(100'000));
+  net.set_crashed(bogus);
+  EXPECT_FALSE(net.is_crashed(proxy_id(7)));
+  EXPECT_FALSE(net.is_crashed(client_id(100'000)));
+  EXPECT_FALSE(net.is_crashed(bogus));
+
+  int received = 0;
+  net.register_node(proxy_id(0),
+                    [&](const NodeId&, const std::string&) { ++received; });
+  net.send(proxy_id(7), proxy_id(0), "not refused");
+  net.send(proxy_id(0), bogus, "unroutable");
+  // Registering after the no-op crash starts the node alive.
+  net.register_node(proxy_id(7),
+                    [&](const NodeId&, const std::string&) { ++received; });
+  EXPECT_FALSE(net.is_crashed(proxy_id(7)));
+  net.send(proxy_id(0), proxy_id(7), "delivered");
+  sim.run();
+  EXPECT_EQ(received, 2);
+  EXPECT_EQ(net.stats().dropped_sender_crashed, 0u);
+  EXPECT_EQ(net.stats().dropped_unroutable, 1u);
+}
+
+TEST_F(NetFixture, HandlerMayRegisterNodesWhileItRuns) {
+  std::vector<int> seen;
+  // Two pointers: small and trivially copyable, so std::function keeps the
+  // closure inside the registered node's state rather than on the heap.
+  net.register_node(proxy_id(0), [network = &net, out = &seen](
+                                     const NodeId&, const std::string&) {
+    for (std::uint32_t i = 0; i < 200; ++i) {
+      network->register_node(storage_id(i),
+                             [](const NodeId&, const std::string&) {});
+    }
+    out->push_back(1);  // reads this handler's captures after the growth
+  });
+  net.send(client_id(0), proxy_id(0), "x");
+  sim.run();
+  EXPECT_EQ(seen, std::vector<int>{1});
 }
 
 // -------------------------------------------------------- failure detector
