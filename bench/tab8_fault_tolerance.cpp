@@ -129,7 +129,7 @@ RmFailoverRow run_rm_failover_point(bool crash_leader) {
   });
   if (crash_leader) {
     cluster.simulator().after(milliseconds(4), [&cluster] {
-      cluster.crash_rm(cluster.replicated_rm()->leader());
+      cluster.crash_rm(cluster.replicated_rm().leader());
     });
   }
   cluster.run_for(seconds(5));

@@ -9,6 +9,7 @@
 #include "oracle/oracle.hpp"
 #include "oracle/strategy_optimizer.hpp"
 #include "reconfig/reconfig_manager.hpp"
+#include "reconfig/replicated_rm.hpp"
 #include "sim/failure_detector.hpp"
 #include "sim/ids.hpp"
 #include "sim/simulator.hpp"
@@ -32,7 +33,7 @@ using kv::TopKReport;
 
 AutonomicManager::AutonomicManager(sim::Simulator& sim, Net& net,
                                    sim::NodeId self, sim::FailureDetector& fd,
-                                   reconfig::ReconfigManager& rm,
+                                   reconfig::ReplicatedRm& rm,
                                    oracle::Oracle& oracle,
                                    std::vector<sim::NodeId> proxies,
                                    int replication,
@@ -277,7 +278,7 @@ void AutonomicManager::process_fine_grain(
                           object_stats.avg_size_bytes, window_s);
     if (w <= 0) continue;
     const QuorumConfig target = oracle::grid_from_write_quorum(w, replication_);
-    if (rm_.quorum_for(object_stats.oid) != target) {
+    if (committed().quorum_for(object_stats.oid) != target) {
       change.overrides.emplace_back(object_stats.oid, target);
     }
   }
@@ -286,7 +287,9 @@ void AutonomicManager::process_fine_grain(
   std::vector<ObjectId> next_monitored;
   {
     std::unordered_set<ObjectId> taken;
-    for (const auto& [oid, q] : rm_.config().overrides) taken.insert(oid);
+    for (const auto& [oid, q] : committed().config().overrides) {
+      taken.insert(oid);
+    }
     for (const auto& [oid, q] : change.overrides) taken.insert(oid);
     for (const TopKReport& candidate : merged_candidates) {
       if (next_monitored.size() >= options_.topk_per_round) break;
@@ -358,7 +361,7 @@ void AutonomicManager::finish_fine_grain(const TailStats& tail) {
   if (options_.tail_optimization) {
     const double window_s = to_seconds(options_.round_window);
     const auto target = predict_tail_strategy(tail, window_s);
-    if (target && rm_.config().default_q != *target) {
+    if (target && committed().config().default_q != *target) {
       ins_.tail_reconfigs->inc();
       if (target->is_majority()) {
         emit("tail reconfiguration to R=" +
@@ -420,7 +423,7 @@ void AutonomicManager::process_steady(
                           object_stats.avg_size_bytes, window_s);
     if (w <= 0) continue;
     const QuorumConfig target = oracle::grid_from_write_quorum(w, replication_);
-    if (rm_.quorum_for(object_stats.oid) != target) {
+    if (committed().quorum_for(object_stats.oid) != target) {
       auto [it, inserted] =
           last_object_prediction_.try_emplace(object_stats.oid, target);
       if (!options_.drift_hysteresis || (!inserted && it->second == target)) {
@@ -440,7 +443,7 @@ void AutonomicManager::process_steady(
   const auto tail_predicted = predict_tail_strategy(tail, window_s);
   if (tail_predicted) {
     tail_target = *tail_predicted;
-    if (rm_.config().default_q != tail_target) {
+    if (committed().config().default_q != tail_target) {
       tail_change =
           !options_.drift_hysteresis || last_tail_prediction_ == tail_target;
     }
@@ -452,7 +455,7 @@ void AutonomicManager::process_steady(
   // ---- choose the next rotating monitored subset among tuned objects.
   std::vector<ObjectId> next_monitored;
   {
-    const auto& overrides = rm_.config().overrides;
+    const auto& overrides = committed().config().overrides;
     if (!overrides.empty()) {
       for (std::size_t i = 0;
            i < std::min(options_.topk_per_round, overrides.size()); ++i) {

@@ -38,6 +38,7 @@
 #include "obs/registry.hpp"
 #include "oracle/oracle.hpp"
 #include "reconfig/reconfig_manager.hpp"
+#include "reconfig/replicated_rm.hpp"
 #include "sim/failure_detector.hpp"
 #include "sim/ids.hpp"
 #include "sim/network.hpp"
@@ -81,7 +82,7 @@ class AutonomicManager {
   /// allocates a private one (stand-alone component tests).
   AutonomicManager(sim::Simulator& sim, Net& net, sim::NodeId self,
                    sim::FailureDetector& fd,
-                   reconfig::ReconfigManager& rm, oracle::Oracle& oracle,
+                   reconfig::ReplicatedRm& rm, oracle::Oracle& oracle,
                    std::vector<sim::NodeId> proxies, int replication,
                    const AutonomicOptions& options,
                    obs::Observability* obs = nullptr);
@@ -145,7 +146,11 @@ class AutonomicManager {
   Net& net_;
   sim::NodeId self_;
   sim::FailureDetector& fd_;
-  reconfig::ReconfigManager& rm_;
+  /// Requests go through the RM service; reads of installed quorums come
+  /// from committed(), replica 0's applied state, so they do not depend on
+  /// which replica currently leads.
+  reconfig::ReplicatedRm& rm_;
+  const reconfig::ReconfigManager& committed() const { return rm_.rm(0); }
   oracle::Oracle& oracle_;
   /// Non-null when `oracle_` is a StrategyOptimizer: the tail optimization
   /// then installs full optimized strategies instead of majority grids.

@@ -38,8 +38,10 @@ Cluster::Cluster(const ClusterConfig& config)
     throw std::invalid_argument(
         "Cluster: initial quorum must satisfy R + W > N");
   }
-  if (config_.num_proxies == 0 || config_.num_storage == 0) {
-    throw std::invalid_argument("Cluster: need at least 1 proxy and storage");
+  if (config_.num_proxies == 0 || config_.num_storage == 0 ||
+      config_.rm_replicas == 0) {
+    throw std::invalid_argument(
+        "Cluster: need at least 1 proxy, storage node and RM replica");
   }
 
   net_.bind_observability(&obs_);
@@ -116,34 +118,24 @@ Cluster::Cluster(const ClusterConfig& config)
   for (std::uint32_t i = 0; i < config_.num_storage; ++i) {
     storage_ids.push_back(sim::storage_id(i));
   }
-  if (config_.rm_replicas > 1) {
-    // Replicated control plane: one ReconfigManager per RM replica over a
-    // private SMR log; only the leader-role holder drives phases. Proxies
-    // and storages keep addressing "the RM" — whichever replica's inbox a
-    // reply lands on, ReplicatedRm gates it by the leader role.
-    reconfig::ReplicatedRmOptions rm_options;
-    rm_options.replicas = config_.rm_replicas;
-    rm_options.network = config_.network;
-    rm_options.fd_detection_delay = config_.rm_fd_detection_delay;
-    rm_options.seed = mix64(config_.seed ^ 0x524D726D);
-    rrm_ = std::make_unique<reconfig::ReplicatedRm>(
-        sim_, net_, fd_, proxy_ids, storage_ids, config_.initial_quorum,
-        config_.replication, rm_options, &obs_);
-    for (std::uint32_t i = 0; i < config_.rm_replicas; ++i) {
-      net_.register_node(sim::rm_replica_id(i),
-                         [this, i](const sim::NodeId& from,
-                                   const kv::Message& msg) {
-                           handle_rm_replica_message(i, from, msg);
-                         });
-    }
-  } else {
-    rm_ = std::make_unique<reconfig::ReconfigManager>(
-        sim_, net_, sim::rm_id(), fd_, proxy_ids, storage_ids,
-        config_.initial_quorum, config_.replication, &obs_);
-    net_.register_node(sim::rm_id(), [this](const sim::NodeId& from,
-                                            const kv::Message& msg) {
-      handle_rm_message(from, msg);
-    });
+  // One ReconfigManager per RM replica, fed by one log; only the
+  // leader-role holder drives phases. Proxies and storages keep addressing
+  // "the RM" — whichever replica's inbox a reply lands on, ReplicatedRm
+  // gates it by the leader role.
+  reconfig::ReplicatedRmOptions rm_options;
+  rm_options.replicas = config_.rm_replicas;
+  rm_options.network = config_.network;
+  rm_options.fd_detection_delay = config_.rm_fd_detection_delay;
+  rm_options.seed = mix64(config_.seed ^ 0x524D726D);
+  rrm_ = std::make_unique<reconfig::ReplicatedRm>(
+      sim_, net_, fd_, proxy_ids, storage_ids, config_.initial_quorum,
+      config_.replication, rm_options, obs_);
+  for (std::uint32_t i = 0; i < config_.rm_replicas; ++i) {
+    net_.register_node(sim::rm_replica_id(i),
+                       [this, i](const sim::NodeId& from,
+                                 const kv::Message& msg) {
+                         handle_rm_message(i, from, msg);
+                       });
   }
 
   if (config_.heartbeat_fd) {
@@ -152,22 +144,21 @@ Cluster::Cluster(const ClusterConfig& config)
         config_.heartbeat_interval);
     heartbeat_watcher_->start();
     for (auto& proxy : proxies_) {
-      // rm_replica_id(0) == rm_id(), so both modes start beating at the
-      // initial leader; failovers retarget through the hook below.
-      proxy->enable_heartbeats(sim::rm_id(), config_.heartbeat_interval);
+      // Beats start at replica 0, the initial leader; failovers retarget
+      // them through the hook below.
+      proxy->enable_heartbeats(sim::rm_replica_id(0),
+                               config_.heartbeat_interval);
     }
   }
-  if (rrm_) {
-    rrm_->set_leader_change_hook([this](std::uint32_t leader) {
-      obs_.spans().instant(obs::Category::kMembership, "rm_leader",
-                           sim::to_string(sim::rm_replica_id(leader)),
-                           sim_.now());
-      if (!config_.heartbeat_fd) return;
-      for (auto& proxy : proxies_) {
-        proxy->set_heartbeat_target(sim::rm_replica_id(leader));
-      }
-    });
-  }
+  rrm_->set_leader_change_hook([this](std::uint32_t leader) {
+    obs_.spans().instant(obs::Category::kMembership, "rm_leader",
+                         sim::to_string(sim::rm_replica_id(leader)),
+                         sim_.now());
+    if (!config_.heartbeat_fd) return;
+    for (auto& proxy : proxies_) {
+      proxy->set_heartbeat_target(sim::rm_replica_id(leader));
+    }
+  });
 
   // ---- clients (closed loop, statically bound to proxies)
   const std::uint32_t total_clients =
@@ -193,22 +184,12 @@ Cluster::Cluster(const ClusterConfig& config)
 
 Cluster::~Cluster() = default;
 
-void Cluster::handle_rm_message(const sim::NodeId& from,
+void Cluster::handle_rm_message(std::uint32_t replica,
+                                const sim::NodeId& from,
                                 const kv::Message& msg) {
-  // The RM's inbox: heartbeats feed the failure detector's watcher and
-  // never reach the protocol layer; everything else is reconfiguration
-  // protocol traffic for the RM proper.
-  QOPT_PROFILE_SCOPE(&obs_, obs::ProfSubsystem::kRm);
-  if (std::holds_alternative<kv::HeartbeatMsg>(msg)) {
-    if (heartbeat_watcher_) heartbeat_watcher_->beat(from);
-    return;
-  }
-  rm_->on_message(from, msg);
-}
-
-void Cluster::handle_rm_replica_message(std::uint32_t replica,
-                                        const sim::NodeId& from,
-                                        const kv::Message& msg) {
+  // The inbox of RM replica `replica`: heartbeats feed the failure
+  // detector's watcher and never reach the protocol layer; everything else
+  // is reconfiguration protocol traffic for the RM proper.
   QOPT_PROFILE_SCOPE(&obs_, obs::ProfSubsystem::kRm);
   if (std::holds_alternative<kv::HeartbeatMsg>(msg)) {
     if (heartbeat_watcher_) heartbeat_watcher_->beat(from);
@@ -272,7 +253,7 @@ void Cluster::reconfigure(kv::QuorumConfig quorum,
   kv::QuorumChange change;
   change.is_global = true;
   change.global = quorum;
-  rm().change_configuration(std::move(change), std::move(done));
+  rrm_->change_configuration(std::move(change), std::move(done));
 }
 
 void Cluster::reconfigure_strategy(kv::QuorumStrategy strategy,
@@ -280,7 +261,7 @@ void Cluster::reconfigure_strategy(kv::QuorumStrategy strategy,
   kv::QuorumChange change;
   change.is_global = true;
   change.global = std::move(strategy);
-  rm().change_configuration(std::move(change), std::move(done));
+  rrm_->change_configuration(std::move(change), std::move(done));
 }
 
 void Cluster::reconfigure_objects(
@@ -289,7 +270,7 @@ void Cluster::reconfigure_objects(
   kv::QuorumChange change;
   change.is_global = false;
   change.overrides.assign(overrides.begin(), overrides.end());
-  rm().change_configuration(std::move(change), std::move(done));
+  rrm_->change_configuration(std::move(change), std::move(done));
 }
 
 void Cluster::enable_autotuning(const autonomic::AutonomicOptions& options,
@@ -301,12 +282,8 @@ void Cluster::enable_autotuning(const autonomic::AutonomicOptions& options,
   for (std::uint32_t i = 0; i < config_.num_proxies; ++i) {
     proxy_ids.push_back(sim::proxy_id(i));
   }
-  // In replicated mode the AM binds to replica 0's manager: reads see that
-  // replica's committed state, and writes reroute through the replicated
-  // request hook to whichever replica currently leads.
-  reconfig::ReconfigManager& am_rm = rrm_ ? rrm_->rm(0) : *rm_;
   am_ = std::make_unique<autonomic::AutonomicManager>(
-      sim_, net_, sim::am_id(), fd_, am_rm, *oracle_, proxy_ids,
+      sim_, net_, sim::am_id(), fd_, *rrm_, *oracle_, proxy_ids,
       config_.replication, options, &obs_);
   net_.register_node(sim::am_id(), [this](const sim::NodeId& from,
                                           const kv::Message& msg) {
@@ -370,21 +347,21 @@ void Cluster::inject_false_suspicion(std::uint32_t proxy_index,
 }
 
 void Cluster::crash_rm(std::uint32_t index) {
-  if (!rrm_ || rrm_->replica_crashed(index)) return;
+  if (config_.rm_replicas == 1 || rrm_->replica_crashed(index)) return;
   rrm_->crash_replica(index);
   obs_.spans().instant(obs::Category::kMembership, "crash",
                        sim::to_string(sim::rm_replica_id(index)), sim_.now());
 }
 
 void Cluster::restart_rm(std::uint32_t index) {
-  if (!rrm_ || !rrm_->replica_crashed(index)) return;
+  if (config_.rm_replicas == 1 || !rrm_->replica_crashed(index)) return;
   rrm_->restart_replica(index);
   obs_.spans().instant(obs::Category::kMembership, "restart",
                        sim::to_string(sim::rm_replica_id(index)), sim_.now());
 }
 
 std::uint64_t Cluster::isolate_rm(std::uint32_t index) {
-  if (!rrm_) return 0;
+  if (config_.rm_replicas == 1) return 0;
   // Both planes: the kv network (proxy acks, NEWEP traffic) and the group's
   // private replication network (log entries, leadership).
   const std::uint64_t kv_partition = isolate({sim::rm_replica_id(index)});
@@ -425,12 +402,8 @@ std::uint64_t Cluster::isolate(const std::vector<sim::NodeId>& nodes,
   for (std::uint32_t i = 0; i < clients_.size(); ++i) {
     add_if_outside(sim::client_id(i));
   }
-  if (config_.rm_replicas > 1) {
-    for (std::uint32_t i = 0; i < config_.rm_replicas; ++i) {
-      add_if_outside(sim::rm_replica_id(i));
-    }
-  } else {
-    add_if_outside(sim::rm_id());
+  for (std::uint32_t i = 0; i < config_.rm_replicas; ++i) {
+    add_if_outside(sim::rm_replica_id(i));
   }
   add_if_outside(sim::am_id());
   const std::uint64_t id = net_.add_partition(nodes, rest, symmetric);
@@ -521,7 +494,9 @@ obs::RunReport Cluster::report(Time t0, Time t1) const {
   r.traces_completed = reg.counter_value("obs.traces_completed");
   r.spans_dropped = reg.counter_value("obs.spans_dropped");
 
-  if (rrm_) {
+  // A lone RM replica cannot fail over, so its report has no failover
+  // section (the replay baseline pins that absence).
+  if (config_.rm_replicas > 1) {
     r.has_rm_failover = true;
     r.rm_replicas = config_.rm_replicas;
     r.rm_leader_changes = reg.counter_value("rm.leader_changes");

@@ -73,11 +73,13 @@ struct ClusterConfig {
   Duration net_delay_spike = milliseconds(50);  // extra latency per spike
   proxy::ProxyOptions proxy;  // `initial` is overwritten by initial_quorum
   Duration fd_detection_delay = milliseconds(500);
-  /// > 1 replicates the Reconfiguration Manager: that many RM replicas run
-  /// over a private SMR log, the leader role fails over on crashes and
-  /// partitions (crash_rm / isolate_rm, nemesis rm_crash / rm_partition).
-  /// 1 (default) keeps the paper's single logically-centralized RM — the
-  /// two deployments are byte-identical when no RM faults are injected.
+  /// Replicas of the Reconfiguration Manager (at least 1). 1 (default) is
+  /// the paper's single logically-centralized RM: its log applies inline.
+  /// More run over a private SMR log, and the leader role fails over on
+  /// crashes and partitions (crash_rm / isolate_rm, nemesis rm_crash /
+  /// rm_partition). Each deployment is deterministic on its own, but they
+  /// are not byte-identical to each other: replicated log decisions take
+  /// network time.
   std::uint32_t rm_replicas = 1;
   /// Detection delay of the RM group's private failure detector — the RM
   /// failover reaction time. Only meaningful when rm_replicas > 1.
@@ -185,14 +187,14 @@ class Cluster {
   void restart_storage(std::uint32_t index);
   void inject_false_suspicion(std::uint32_t proxy_index, Duration duration);
 
-  /// RM-replica faults (no-ops unless rm_replicas > 1). Crashing the
-  /// current leader deposes it; the next caught-up replica resumes any
-  /// in-flight reconfiguration from the replicated log.
+  /// RM-replica faults; no-ops with one replica, which has no group to
+  /// fail over in. Crashing the current leader deposes it; the next
+  /// caught-up replica resumes any in-flight reconfiguration from the log.
   void crash_rm(std::uint32_t index);
   void restart_rm(std::uint32_t index);
   /// Isolates RM replica `index` on both planes (kv network and the group's
   /// private replication network). Returns a handle for heal_rm_partition();
-  /// 0 in single-RM mode (nothing isolated).
+  /// 0 with one replica (nothing isolated).
   std::uint64_t isolate_rm(std::uint32_t index);
   void heal_rm_partition(std::uint64_t handle);
 
@@ -221,16 +223,14 @@ class Cluster {
   const Metrics& metrics() const noexcept { return metrics_; }
   ConsistencyChecker& checker() noexcept { return checker_; }
   const ConsistencyChecker& checker() const noexcept { return checker_; }
-  /// The authoritative RM view: the single instance, or (replicated mode)
-  /// the current leader replica's manager.
-  reconfig::ReconfigManager& rm() noexcept {
-    return rm_ ? *rm_ : rrm_->leader_rm();
-  }
+  /// The authoritative RM view: the current leader replica's manager
+  /// (replica 0's with one replica).
+  reconfig::ReconfigManager& rm() noexcept { return rrm_->leader_rm(); }
   const reconfig::ReconfigManager& rm() const noexcept {
-    return rm_ ? *rm_ : rrm_->leader_rm();
+    return rrm_->leader_rm();
   }
-  /// Replicated control plane; null when rm_replicas <= 1.
-  reconfig::ReplicatedRm* replicated_rm() noexcept { return rrm_.get(); }
+  /// The RM service: every replica, the log and the leader role.
+  reconfig::ReplicatedRm& replicated_rm() noexcept { return *rrm_; }
   autonomic::AutonomicManager* am() noexcept { return am_.get(); }
   proxy::Proxy& proxy(std::uint32_t i) { return *proxies_.at(i); }
   kv::StorageNode& storage(std::uint32_t i) { return *storage_.at(i); }
@@ -250,14 +250,11 @@ class Cluster {
  private:
   using Net = sim::Network<kv::Message>;
 
-  /// The RM's wire inbox: routes heartbeats to the watcher, protocol
-  /// messages to the ReconfigManager (see docs/PROTOCOL.toml).
-  void handle_rm_message(const sim::NodeId& from, const kv::Message& msg);
-  /// Replicated-mode inbox of RM replica `replica` (same routing, with
-  /// leader-role gating inside ReplicatedRm).
-  void handle_rm_replica_message(std::uint32_t replica,
-                                 const sim::NodeId& from,
-                                 const kv::Message& msg);
+  /// Wire inbox of RM replica `replica`: routes heartbeats to the watcher,
+  /// protocol messages to the ReplicatedRm, which gates them by the leader
+  /// role (see docs/PROTOCOL.toml).
+  void handle_rm_message(std::uint32_t replica, const sim::NodeId& from,
+                         const kv::Message& msg);
 
   ClusterConfig config_;
   // Declared before every component: they cache pointers into the registry,
@@ -274,8 +271,7 @@ class Cluster {
   std::vector<std::unique_ptr<kv::StorageNode>> storage_;
   std::vector<std::unique_ptr<proxy::Proxy>> proxies_;
   std::vector<std::unique_ptr<Client>> clients_;
-  std::unique_ptr<reconfig::ReconfigManager> rm_;   // single-RM mode
-  std::unique_ptr<reconfig::ReplicatedRm> rrm_;     // rm_replicas > 1
+  std::unique_ptr<reconfig::ReplicatedRm> rrm_;
   /// isolate_rm() handle -> (replica, kv-plane partition, smr-plane
   /// partition), so a heal reconnects both planes.
   struct RmPartition {

@@ -99,12 +99,11 @@ void Nemesis::fire() {
       max_quorum_dimension(cluster_.rm().config()) <=
           cluster_.config().replication - storage_unavailable - 1;
   const bool can_restart = proxies_crashed_ > 0 || storage_crashed_ > 0;
-  // An RM fault needs a replicated RM with at least 3 replicas (one outage
-  // leaves the SMR group a live majority); one outage at a time keeps that
-  // invariant under the auto-heal that follows every injection.
-  const bool can_fault_rm = !rm_fault_active_ &&
-                            cluster_.replicated_rm() != nullptr &&
-                            cluster_.config().rm_replicas >= 3;
+  // An RM fault needs at least 3 RM replicas (one outage leaves the SMR
+  // group a live majority); one outage at a time keeps that invariant
+  // under the auto-heal that follows every injection.
+  const bool can_fault_rm =
+      !rm_fault_active_ && cluster_.config().rm_replicas >= 3;
   // New kinds are appended with zero default weights: a legacy options
   // struct draws the exact same event sequence as before they existed.
   const std::array<Choice, 11> choices = {{
@@ -296,7 +295,7 @@ void Nemesis::fire() {
       ++stats_.rm_crashes;
       ins_.rm_crashes->inc();
       rm_fault_active_ = true;
-      const std::uint32_t victim = cluster_.replicated_rm()->leader();
+      const std::uint32_t victim = cluster_.replicated_rm().leader();
       cluster_.crash_rm(victim);
       const auto hold = 1 + static_cast<Duration>(rng_.next_below(
                             static_cast<std::uint64_t>(
@@ -314,7 +313,7 @@ void Nemesis::fire() {
       ++stats_.rm_partitions;
       ins_.rm_partitions->inc();
       rm_fault_active_ = true;
-      const std::uint32_t victim = cluster_.replicated_rm()->leader();
+      const std::uint32_t victim = cluster_.replicated_rm().leader();
       const std::uint64_t handle = cluster_.isolate_rm(victim);
       const auto hold = 1 + static_cast<Duration>(rng_.next_below(
                             static_cast<std::uint64_t>(

@@ -31,8 +31,8 @@ struct NemesisOptions {
   double partition = 0.0;   // isolate one storage node, heal later
   double loss_burst = 0.0;  // temporarily raise the link-loss rate
   double restart = 0.0;     // recover a previously crashed node
-  // RM-failover events (default 0; need a replicated RM and rm_replicas >= 3
-  // so a single fault leaves the SMR group a live majority).
+  // RM-failover events (default 0; need rm_replicas >= 3 so a single
+  // fault leaves the SMR group a live majority).
   double rm_crash = 0.0;      // crash the RM leader, restart after a hold
   double rm_partition = 0.0;  // isolate the RM leader, heal after a hold
   // Bounds preserving liveness: crashed storage shrinks the quorum range

@@ -25,15 +25,16 @@ ReconfigManager::ReconfigManager(sim::Simulator& sim, Net& net,
                                  sim::NodeId self, sim::FailureDetector& fd,
                                  std::vector<sim::NodeId> proxies,
                                  std::vector<sim::NodeId> storages,
-                                 QuorumConfig initial, int replication,
-                                 obs::Observability* obs)
+                                 QuorumConfig initial, obs::Observability& obs,
+                                 LogSink sink)
     : sim_(sim),
       net_(net),
       self_(self),
       fd_(fd),
       proxies_(std::move(proxies)),
       storages_(std::move(storages)),
-      replication_(replication) {
+      sink_(std::move(sink)),
+      obs_(obs) {
   canonical_.epno = 0;
   canonical_.cfno = 0;
   canonical_.default_q = initial;
@@ -41,16 +42,10 @@ ReconfigManager::ReconfigManager(sim::Simulator& sim, Net& net,
   fd_.subscribe([this](const sim::NodeId& node, bool suspected) {
     on_suspicion_change(node, suspected);
   });
-  if (!obs) {
-    own_obs_ = std::make_unique<obs::Observability>();
-    obs = own_obs_.get();
-  }
-  obs_ = obs;
-  auto& reg = obs_->registry();
+  auto& reg = obs_.registry();
   ins_.reconfigurations_completed =
       &reg.counter("rm.reconfigurations_completed");
   ins_.epoch_changes = &reg.counter("rm.epoch_changes");
-  ins_.rejected_invalid = &reg.counter("rm.rejected_invalid");
   ins_.retries = &reg.counter("rm.retries");
   ins_.reconfig_time_ns = &reg.counter("rm.reconfig_time_ns");
   ins_.epoch = &reg.gauge("rm.epoch");
@@ -58,7 +53,7 @@ ReconfigManager::ReconfigManager(sim::Simulator& sim, Net& net,
 }
 
 void ReconfigManager::begin_phase_span(obs::Phase phase, const char* name) {
-  obs::SpanStore& spans = obs_->spans();
+  obs::SpanStore& spans = obs_.spans();
   if (phase_span_.valid()) {
     spans.close_span(phase_span_, sim_.now(), canonical_.epno, current_cfno_);
   }
@@ -72,36 +67,17 @@ const kv::QuorumStrategy& ReconfigManager::quorum_for(kv::ObjectId oid) const {
   return canonical_.default_q;
 }
 
-void ReconfigManager::change_configuration(QuorumChange change,
-                                           DoneCallback done) {
-  // Replicated deployments intercept here: the request is validated once and
-  // replicated through the current leader, whichever replica it entered at.
-  if (request_hook_) {
-    request_hook_(std::move(change), std::move(done));
-    return;
-  }
-  if (!kv::validate_change(change, replication_)) {
-    ins_.rejected_invalid->inc();
-    if (done) done(false);
-    return;
-  }
-  queue_.push_back(Request{std::move(change), std::move(done)});
-  if (phase_ == Phase::kIdle) start_next();
-}
-
 void ReconfigManager::start_next() {
   if (queue_.empty() || phase_ != Phase::kIdle || !leader_active_) return;
-  // The head stays queued until its commit is decided; the driving copy
-  // carries no completion callback (the commit-apply path fires the one at
-  // the queue head), so an abandoned round loses nothing.
-  const Request& head = queue_.front();
-  current_ = Request{head.change, {}, head.origin, head.seq};
+  // The head stays queued until its commit is decided, so an abandoned
+  // round loses nothing: whichever replica leads next re-drives it.
+  current_ = queue_.front();
   current_cfno_ = canonical_.cfno + 1;
   started_at_ = sim_.now();
   acked_proxies_.clear();
   phase_ = Phase::kNewQuorum;
-  round_trace_ = obs_->spans().start_trace(obs::TraceKind::kReconfig,
-                                           "reconfig", "rm", sim_.now());
+  round_trace_ = obs_.spans().start_trace(obs::TraceKind::kReconfig,
+                                          "reconfig", "rm", sim_.now());
   begin_phase_span(obs::Phase::kRmNewq, "rm_newq");
   const kv::NewQuorumMsg msg{canonical_.epno, current_cfno_,
                              current_.change, phase_span_};
@@ -118,7 +94,7 @@ void ReconfigManager::arm_phase_retransmit(int attempt) {
   delay = std::min(delay, kRetryCap);
   const std::uint64_t gen = retry_gen_;
   sim_.after(delay, [this, gen, attempt] {
-    QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kRm);
+    QOPT_PROFILE_SCOPE(&obs_, obs::ProfSubsystem::kRm);
     if (gen != retry_gen_) return;  // the phase moved on
     resend_phase();
     arm_phase_retransmit(attempt + 1);
@@ -127,8 +103,8 @@ void ReconfigManager::arm_phase_retransmit(int attempt) {
 
 void ReconfigManager::resend_phase() {
   ins_.retries->inc();
-  obs_->spans().instant(obs::Category::kReconfig, "rm_retransmit", "rm",
-                        sim_.now(), canonical_.epno, current_cfno_);
+  obs_.spans().instant(obs::Category::kReconfig, "rm_retransmit", "rm",
+                       sim_.now(), canonical_.epno, current_cfno_);
   switch (phase_) {
     case Phase::kNewQuorum: {
       const kv::NewQuorumMsg msg{canonical_.epno, current_cfno_,
@@ -238,7 +214,7 @@ int ReconfigManager::max_read_q(const FullConfig& state) {
 // ------------------------------------------------------------- message i/o
 
 void ReconfigManager::on_message(const sim::NodeId& from, const Message& msg) {
-  QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kRm);
+  QOPT_PROFILE_SCOPE(&obs_, obs::ProfSubsystem::kRm);
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
@@ -354,11 +330,11 @@ void ReconfigManager::begin_epoch_change(bool after_phase1) {
       max_quorum_dimension(after_phase1 ? canonical_ : payload);
   epoch_payload_ = payload;
 
-  // The epoch bump is a canonical-state decision: replicate it so epochs
-  // stay totally ordered across RM leader failovers. The broadcast follows
-  // in drive_epoch_broadcast() once the bump is decided (inline in classic
-  // single-instance mode). Kill the previous phase's retransmit timer so it
-  // cannot resend a NEWEP payload carrying a pre-decision epoch.
+  // The epoch bump is a canonical-state decision: log it so epochs stay
+  // totally ordered across RM leader failovers. The broadcast follows in
+  // drive_epoch_broadcast() once the bump is decided (inline with one
+  // replica). Kill the previous phase's retransmit timer so it cannot
+  // resend a NEWEP payload carrying a pre-decision epoch.
   ++retry_gen_;
   log_submit(smr::RmLogKind::kEpoch);
 }
@@ -406,14 +382,9 @@ void ReconfigManager::log_submit(smr::RmLogKind kind) {
   smr::Command entry;
   entry.kind = kind;
   entry.cfno = current_cfno_;
-  entry.origin = current_.origin;
   entry.seq = current_.seq;
   if (kind == smr::RmLogKind::kCommit) entry.change = current_.change;
-  if (sink_) {
-    sink_(std::move(entry));
-  } else {
-    apply_entry(entry);  // classic single-instance mode: decide inline
-  }
+  sink_(std::move(entry));
 }
 
 bool ReconfigManager::apply_entry(const smr::Command& entry) {
@@ -429,10 +400,9 @@ bool ReconfigManager::apply_entry(const smr::Command& entry) {
 }
 
 bool ReconfigManager::apply_request(const smr::Command& entry) {
-  // Validation happened before submission (change_configuration or the
-  // replicated RM's request path), so every replica queues identically.
-  queue_.push_back(Request{entry.change, {}, entry.origin, entry.seq});
-  if (leader_active_ && phase_ == Phase::kIdle) start_next();
+  // Validation happened before submission (ReplicatedRm's request path),
+  // so every replica queues identically.
+  queue_.push_back(Request{entry.change, entry.seq});
   return true;
 }
 
@@ -458,9 +428,8 @@ bool ReconfigManager::apply_commit(const smr::Command& entry) {
     if (driving && current_cfno_ <= canonical_.cfno) abandon_round();
     return false;
   }
-  Request finished = std::move(queue_.front());
+  FullConfig next = post_change_state_for(queue_.front().change, entry.cfno);
   queue_.pop_front();
-  FullConfig next = post_change_state_for(finished.change, entry.cfno);
   next.epno = canonical_.epno;
   canonical_ = std::move(next);
   const bool this_round = driving && current_cfno_ == entry.cfno;
@@ -472,12 +441,12 @@ bool ReconfigManager::apply_commit(const smr::Command& entry) {
   ins_.cfno->set(static_cast<double>(canonical_.cfno));
   if (this_round) {
     if (phase_span_.valid()) {
-      obs_->spans().close_span(phase_span_, sim_.now(), canonical_.epno,
-                               canonical_.cfno);
+      obs_.spans().close_span(phase_span_, sim_.now(), canonical_.epno,
+                              canonical_.cfno);
       phase_span_ = obs::SpanContext{};
     }
     if (round_trace_.valid()) {
-      obs_->spans().end_trace(round_trace_, sim_.now());
+      obs_.spans().end_trace(round_trace_, sim_.now());
       round_trace_ = obs::SpanContext{};
     }
     phase_ = Phase::kIdle;
@@ -486,10 +455,6 @@ bool ReconfigManager::apply_commit(const smr::Command& entry) {
   } else if (driving && current_cfno_ <= canonical_.cfno) {
     abandon_round();  // this commit retired the round we were re-driving
   }
-  // The callback may synchronously enqueue (and start) the next
-  // reconfiguration; fire it only after the round state is fully retired.
-  if (finished.done) finished.done(true);
-  if (leader_active_ && phase_ == Phase::kIdle) start_next();
   return true;
 }
 
@@ -507,15 +472,15 @@ void ReconfigManager::set_leader_active(bool active) {
 }
 
 void ReconfigManager::abandon_round() {
-  obs_->spans().instant(obs::Category::kReconfig, "rm_round_abandoned", "rm",
-                        sim_.now(), canonical_.epno, current_cfno_);
+  obs_.spans().instant(obs::Category::kReconfig, "rm_round_abandoned", "rm",
+                       sim_.now(), canonical_.epno, current_cfno_);
   if (phase_span_.valid()) {
-    obs_->spans().close_span(phase_span_, sim_.now(), canonical_.epno,
-                             current_cfno_);
+    obs_.spans().close_span(phase_span_, sim_.now(), canonical_.epno,
+                            current_cfno_);
     phase_span_ = obs::SpanContext{};
   }
   if (round_trace_.valid()) {
-    obs_->spans().end_trace(round_trace_, sim_.now());
+    obs_.spans().end_trace(round_trace_, sim_.now());
     round_trace_ = obs::SpanContext{};
   }
   phase_ = Phase::kIdle;

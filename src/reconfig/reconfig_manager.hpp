@@ -23,8 +23,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -46,50 +44,39 @@ namespace qopt::reconfig {
 class ReconfigManager {
  public:
   using Net = sim::Network<kv::Message>;
-  using DoneCallback = std::function<void(bool ok)>;
-  /// Destination for canonical-state decisions (epoch bumps, commits).
-  /// Unset (the default), decisions apply inline — the classic
-  /// single-instance RM. Set by the replicated RM, they are submitted to
-  /// the shared SMR log instead and take effect only when apply_entry()
-  /// delivers the chosen entry back, on every replica.
+  /// Destination for canonical-state decisions (epoch bumps, commits): the
+  /// owning ReplicatedRm's log. A decision takes effect only when
+  /// apply_entry() delivers the chosen entry back, on every replica.
   using LogSink = std::function<void(smr::Command)>;
-  /// Reroute for change_configuration(): the replicated RM installs one so
-  /// requests made against any replica (the AM's direct calls included) are
-  /// validated once and replicated through the current leader.
-  using RequestHook = std::function<void(kv::QuorumChange, DoneCallback)>;
 
-  /// `obs` is the cluster-wide observability bundle; when null the RM
-  /// allocates a private one (stand-alone component tests).
+  /// `obs` is the cluster-wide observability bundle.
   ReconfigManager(sim::Simulator& sim, Net& net, sim::NodeId self,
                   sim::FailureDetector& fd,
                   std::vector<sim::NodeId> proxies,
                   std::vector<sim::NodeId> storages,
-                  kv::QuorumConfig initial, int replication,
-                  obs::Observability* obs = nullptr);
-
-  /// Queues a reconfiguration (the changeConfiguration entry point; callable
-  /// by the Autonomic Manager or a human administrator). Validates strict
-  /// quorum intersection (R + W > N) for every quorum in the change; invalid
-  /// requests complete immediately with ok=false.
-  void change_configuration(kv::QuorumChange change, DoneCallback done = {});
+                  kv::QuorumConfig initial, obs::Observability& obs,
+                  LogSink sink);
 
   void on_message(const sim::NodeId& from, const kv::Message& msg);
 
-  // ------------------------------------------------ replicated-RM wiring
+  // ------------------------------------------------------- log wiring
   //
-  // A replicated deployment hosts one ReconfigManager per RM replica, all
-  // bound to the same SMR log. Canonical state (epoch counter, committed
-  // configuration, request queue) advances only through decided log
-  // entries, so every replica folds the identical history; phase side
-  // effects (broadcasts, retransmit timers, traces) run only on the replica
-  // whose leader flag is set.
+  // Each RM replica hosts one ReconfigManager, all fed by the same log.
+  // Canonical state (epoch counter, committed configuration, request
+  // queue) advances only through decided log entries, so every replica
+  // folds the identical history; phase side effects (broadcasts,
+  // retransmit timers, spans) run only on the replica whose leader flag is
+  // set. Requests enter through ReplicatedRm::change_configuration.
 
-  void bind_log(LogSink sink) { sink_ = std::move(sink); }
-  void set_request_hook(RequestHook hook) { request_hook_ = std::move(hook); }
   /// Applies a decided log entry to this replica's canonical state.
   /// Returns true when the entry mutated state (a stale kCommit from a
-  /// deposed leader is fenced off by its cfno and returns false).
+  /// deposed leader is fenced off by its cfno and returns false). It never
+  /// starts the next round; start_next() does, once the entry's completion
+  /// callback has run.
   bool apply_entry(const smr::Command& entry);
+  /// Starts driving the queue head when this replica holds the leader role
+  /// and no round is in flight; a no-op otherwise.
+  void start_next();
   /// Leader-role flag. Demotion abandons any round this replica was
   /// driving (timers die, spans close; committed state is untouched).
   /// Promotion re-drives the queue head — the deterministic resume of an
@@ -113,9 +100,6 @@ class ReconfigManager {
   std::size_t queued() const noexcept {
     return queue_.size() - (phase_ != Phase::kIdle ? 1 : 0);
   }
-  /// Observability bundle in use (the shared one, or the private fallback).
-  obs::Observability& observability() noexcept { return *obs_; }
-  const obs::Observability& observability() const noexcept { return *obs_; }
 
  private:
   enum class Phase {
@@ -127,9 +111,7 @@ class ReconfigManager {
     kCommitWait,     // commit submitted to the log, decision pending
   };
 
-  void start_next();
-  /// Routes a canonical-state decision through the log sink (replicated) or
-  /// applies it inline (classic single-instance mode).
+  /// Routes a canonical-state decision through the log sink.
   void log_submit(smr::RmLogKind kind);
   bool apply_request(const smr::Command& entry);
   bool apply_epoch(const smr::Command& entry);
@@ -179,23 +161,18 @@ class ReconfigManager {
   sim::FailureDetector& fd_;
   std::vector<sim::NodeId> proxies_;
   std::vector<sim::NodeId> storages_;
-  int replication_;
 
   kv::FullConfig canonical_;
 
   struct Request {
     kv::QuorumChange change;
-    DoneCallback done;
-    // Requester identity, threaded through kCommit entries so the
-    // replicated RM fires completion callbacks exactly once cluster-wide.
-    std::uint32_t origin = 0;
+    // Request id, threaded through kCommit entries so the ReplicatedRm
+    // fires completion callbacks exactly once cluster-wide.
     std::uint64_t seq = 0;
   };
   std::deque<Request> queue_;
 
-  // Replicated-RM wiring (both unset in classic single-instance mode).
   LogSink sink_;
-  RequestHook request_hook_;
   bool leader_active_ = true;
 
   // In-flight reconfiguration state.
@@ -221,12 +198,10 @@ class ReconfigManager {
   void begin_phase_span(obs::Phase phase, const char* name);
 
   // Observability: counters cached at construction, bumped on the hot path.
-  std::unique_ptr<obs::Observability> own_obs_;  // fallback when none shared
-  obs::Observability* obs_ = nullptr;
+  obs::Observability& obs_;
   struct Instruments {
     obs::Counter* reconfigurations_completed = nullptr;
     obs::Counter* epoch_changes = nullptr;
-    obs::Counter* rejected_invalid = nullptr;
     obs::Counter* retries = nullptr;
     obs::Counter* reconfig_time_ns = nullptr;
     obs::Gauge* epoch = nullptr;

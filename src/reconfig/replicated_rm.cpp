@@ -31,59 +31,44 @@ ReplicatedRm::ReplicatedRm(sim::Simulator& sim, Net& net,
                            std::vector<sim::NodeId> storages,
                            kv::QuorumConfig initial, int replication,
                            const ReplicatedRmOptions& options,
-                           obs::Observability* obs)
-    : sim_(sim), net_(net), replication_(replication) {
-  if (!obs) {
-    own_obs_ = std::make_unique<obs::Observability>();
-    obs = own_obs_.get();
-  }
-  obs_ = obs;
-
-  smr::GroupOptions group_options;
-  group_options.replicas = options.replicas;
-  group_options.network = options.network;
-  group_options.fd_detection_delay = options.fd_detection_delay;
-  group_options.seed = options.seed;
-  group_ = std::make_unique<smr::Group>(sim_, group_options,
-                                        smr::Replica::ApplyFn{});
-  group_->set_indexed_apply(
-      [this](std::uint32_t replica, std::uint64_t slot,
-             const smr::Command& command) { on_apply(replica, slot, command); });
-
+                           obs::Observability& obs)
+    : net_(net), replication_(replication) {
   const std::uint32_t n = options.replicas;
+  auto& reg = obs.registry();
+  if (n > 1) {
+    smr::GroupOptions group_options;
+    group_options.replicas = n;
+    group_options.network = options.network;
+    group_options.fd_detection_delay = options.fd_detection_delay;
+    group_options.seed = options.seed;
+    group_ = std::make_unique<smr::Group>(sim, group_options,
+                                          smr::Replica::ApplyFn{});
+    group_->set_indexed_apply([this](std::uint32_t replica, std::uint64_t slot,
+                                     const smr::Command& command) {
+      on_apply(replica, slot, command);
+    });
+    // Subscribed after the Group's own listener, so by the time roles are
+    // re-derived the replicas have already re-evaluated SMR leadership and
+    // unacked commands have been re-driven.
+    group_->failure_detector().subscribe(
+        [this](const sim::NodeId&, bool) { sync_roles(); });
+    leader_changes_ = &reg.counter("rm.leader_changes");
+    rounds_resumed_ = &reg.counter("rm.rounds_resumed");
+    stale_leader_msgs_ = &reg.counter("rm.stale_leader_msgs_ignored");
+  }
+  rejected_invalid_ = &reg.counter("rm.rejected_invalid");
+
   crashed_.assign(n, false);
   applied_upto_.assign(n, 0);
   rms_.reserve(n);
-  machines_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     rms_.push_back(std::make_unique<ReconfigManager>(
-        sim_, net_, sim::rm_replica_id(i), fd, proxies, storages, initial,
-        replication, obs_));
-    ReconfigManager& rm = *rms_.back();
-    rm.bind_log([this, i](smr::Command command) {
-      command.id = ++next_cmd_id_;
-      group_->submit(i, std::move(command));
-    });
-    rm.set_request_hook(
-        [this](kv::QuorumChange change, DoneCallback done) {
-          change_configuration(std::move(change), std::move(done));
-        });
+        sim, net_, sim::rm_replica_id(i), fd, proxies, storages, initial, obs,
+        [this, i](smr::Command command) { submit(i, std::move(command)); }));
     // Exactly one replica holds the leader role; replica 0 starts with it
     // (matching the group's initial leader designation).
-    if (i != 0) rm.set_leader_active(false);
-    machines_.emplace_back(initial, replication);
+    if (i != 0) rms_.back()->set_leader_active(false);
   }
-  // Subscribed after the Group's own listener, so by the time roles are
-  // re-derived the replicas have already re-evaluated SMR leadership and
-  // unacked commands have been re-driven.
-  group_->failure_detector().subscribe(
-      [this](const sim::NodeId&, bool) { sync_roles(); });
-
-  auto& reg = obs_->registry();
-  leader_changes_ = &reg.counter("rm.leader_changes");
-  rounds_resumed_ = &reg.counter("rm.rounds_resumed");
-  stale_leader_msgs_ = &reg.counter("rm.stale_leader_msgs_ignored");
-  rejected_invalid_ = &reg.counter("rm.rejected_invalid");
 }
 
 void ReplicatedRm::change_configuration(kv::QuorumChange change,
@@ -95,12 +80,20 @@ void ReplicatedRm::change_configuration(kv::QuorumChange change,
     return;
   }
   smr::Command command;
-  command.id = ++next_cmd_id_;
   command.kind = smr::RmLogKind::kRequest;
   command.seq = ++next_seq_;
   command.change = std::move(change);
   if (done) outstanding_.emplace(command.seq, std::move(done));
-  group_->submit(group_->leader(), std::move(command));
+  submit(leader(), std::move(command));
+}
+
+void ReplicatedRm::submit(std::uint32_t replica, smr::Command command) {
+  command.id = ++next_cmd_id_;
+  if (group_) {
+    group_->submit(replica, std::move(command));
+  } else {
+    on_apply(replica, applied_upto_[replica], command);
+  }
 }
 
 void ReplicatedRm::on_message(std::uint32_t replica, const sim::NodeId& from,
@@ -120,31 +113,25 @@ void ReplicatedRm::on_apply(std::uint32_t replica, std::uint64_t slot,
                             const smr::Command& command) {
   applied_upto_[replica] = slot + 1;
   if (slot + 1 > decided_upto_) decided_upto_ = slot + 1;
-  const bool mutated = rms_[replica]->apply_entry(command);
-  if (command.kind == smr::RmLogKind::kCommit && mutated) {
-    // Shadow fold: the standalone config state machine must trace the same
-    // cfno trajectory as the RM's canonical state.
-    smr::Command as_request = command;
-    as_request.kind = smr::RmLogKind::kRequest;
-    machines_[replica].apply(as_request);
-    if (machines_[replica].config().cfno != rms_[replica]->config().cfno) {
-      ++state_divergences_;
-    }
+  ReconfigManager& rm = *rms_[replica];
+  if (rm.apply_entry(command) && command.kind == smr::RmLogKind::kCommit) {
     // First replica to apply the commit completes the request, exactly once
-    // cluster-wide (later appliers find the callback gone).
+    // cluster-wide (later appliers find the callback gone). It fires after
+    // the round is retired and before the next queued round starts.
     auto it = outstanding_.find(command.seq);
     if (it != outstanding_.end()) {
       DoneCallback done = std::move(it->second);
       outstanding_.erase(it);
-      if (done) done(true);
+      done(true);
     }
   }
+  rm.start_next();
   // Catching up may have just made the designated leader promotable.
   sync_roles();
 }
 
 void ReplicatedRm::sync_roles() {
-  const std::uint32_t next = group_->leader();
+  const std::uint32_t next = leader();
   for (std::uint32_t i = 0; i < rms_.size(); ++i) {
     if (i != next && rms_[i]->leader_active()) {
       rms_[i]->set_leader_active(false);

@@ -1,17 +1,22 @@
-// Replicated Reconfiguration Manager — the RM as a fault-tolerant service.
+// Reconfiguration Manager service — the only RM, one or more replicas.
 //
 // The paper treats the RM as logically centralized; here it runs as a group
-// of replicas, each hosting a full ReconfigManager bound to a shared
-// MultiPaxos log (smr::Group on its own private network). Canonical quorum
-// state — the request queue, epoch counter and committed configuration —
-// advances only through decided log entries, so every replica folds the
-// identical history. Exactly one replica at a time holds the *leader role*:
-// only it broadcasts NEWQ/CONFIRM/NEWEP, arms retransmit timers and opens
-// spans. When the group's failure detector deposes a leader, the next
-// caught-up replica resumes any in-flight round deterministically from
-// committed state (the round's request stays at the replicated queue head
-// until its commit entry is decided); cfno fences make a deposed leader's
-// stray commit a no-op and epno guards cover its retransmits in flight.
+// of replicas, each hosting a full ReconfigManager fed by one log. Canonical
+// quorum state — the request queue, epoch counter and committed
+// configuration — advances only through decided log entries, so every
+// replica folds the identical history. With one replica (the default
+// deployment) the log applies each entry inline, through the same
+// on_apply → ReconfigManager::apply_entry path: no SMR group, no message,
+// no event, no random draw. With more, the log is a MultiPaxos smr::Group on
+// its own private network.
+//
+// Exactly one replica at a time holds the *leader role*: only it broadcasts
+// NEWQ/CONFIRM/NEWEP, arms retransmit timers and opens spans. When the
+// group's failure detector deposes a leader, the next caught-up replica
+// resumes any in-flight round deterministically from committed state (the
+// round's request stays at the replicated queue head until its commit entry
+// is decided); cfno fences make a deposed leader's stray commit a no-op and
+// epno guards cover its retransmits in flight.
 //
 // See docs/ROBUSTNESS.md (RM failover) for the fault model and guarantees.
 #pragma once
@@ -51,24 +56,26 @@ struct ReplicatedRmOptions {
 class ReplicatedRm {
  public:
   using Net = sim::Network<kv::Message>;
-  using DoneCallback = ReconfigManager::DoneCallback;
+  using DoneCallback = std::function<void(bool ok)>;
   /// Fired after a replica is promoted to the leader role (heartbeat
   /// retargeting and the like).
   using LeaderChangeFn = std::function<void(std::uint32_t leader)>;
 
-  /// `net`/`fd` are the kv-plane network and failure detector the classic
-  /// RM uses; the replication plane (group network + group FD) is private.
+  /// `net`/`fd` are the kv-plane network and failure detector the RM
+  /// replicas talk to proxies and storage over; the replication plane
+  /// (group network + group FD) is private. `obs` is the cluster-wide
+  /// observability bundle.
   ReplicatedRm(sim::Simulator& sim, Net& net, sim::FailureDetector& fd,
                std::vector<sim::NodeId> proxies,
                std::vector<sim::NodeId> storages, kv::QuorumConfig initial,
                int replication, const ReplicatedRmOptions& options,
-               obs::Observability* obs = nullptr);
+               obs::Observability& obs);
 
-  /// The replicated changeConfiguration entry point: validates once, then
-  /// replicates the request through the current group leader. Every
-  /// replica's ReconfigManager has a request hook pointing here, so calls
-  /// made against any replica (the Autonomic Manager's included) land on
-  /// the shared log regardless of where they entered.
+  /// The changeConfiguration entry point (the Autonomic Manager's and a
+  /// human administrator's): validates strict quorum intersection once,
+  /// then logs the request through the current leader. Invalid requests
+  /// complete immediately with ok=false; valid ones complete exactly once,
+  /// when the first replica applies the round's commit.
   void change_configuration(kv::QuorumChange change, DoneCallback done = {});
 
   /// Wire inbox of replica `replica` on the kv plane. Protocol acks are
@@ -78,6 +85,8 @@ class ReplicatedRm {
                   const kv::Message& msg);
 
   // ------------------------------------------------------ failure injection
+  //
+  // These need more than one replica (a group to fail over in).
 
   void crash_replica(std::uint32_t index);
   void restart_replica(std::uint32_t index);
@@ -96,25 +105,27 @@ class ReplicatedRm {
     return static_cast<std::uint32_t>(rms_.size());
   }
   /// Group-designated leader index (the replica that drives, once caught
-  /// up and alive).
-  std::uint32_t leader() const { return group_->leader(); }
+  /// up and alive); always 0 with one replica.
+  std::uint32_t leader() const { return group_ ? group_->leader() : 0; }
   /// The designated leader's ReconfigManager — the authoritative view of
   /// committed configuration for report()/tests.
   ReconfigManager& leader_rm() { return *rms_.at(leader()); }
   const ReconfigManager& leader_rm() const { return *rms_.at(leader()); }
   ReconfigManager& rm(std::uint32_t index) { return *rms_.at(index); }
+  /// The MultiPaxos group; needs more than one replica.
   smr::Group& group() noexcept { return *group_; }
   void set_leader_change_hook(LeaderChangeFn hook) {
     on_leader_change_ = std::move(hook);
   }
-  /// Divergences between each replica's RM canonical state and the
-  /// standalone ConfigStateMachine folding the same decided log — a
-  /// cross-check that must stay at zero.
-  std::uint64_t state_divergences() const noexcept {
-    return state_divergences_;
-  }
 
  private:
+  /// Appends `command` to the log through replica `replica`: the group's
+  /// MultiPaxos log, or — with one replica — straight into on_apply.
+  void submit(std::uint32_t replica, smr::Command command);
+  /// Applies a decided entry at `replica`, fires the request's completion
+  /// callback on its first commit, then lets the replica start the next
+  /// queued round. Re-entrant with one replica: a callback that reconfigures
+  /// applies its request inline, before this call returns.
   void on_apply(std::uint32_t replica, std::uint64_t slot,
                 const smr::Command& command);
   /// Re-derives the leader role from the group's failure detector: demotes
@@ -124,17 +135,12 @@ class ReplicatedRm {
   /// learned were committed).
   void sync_roles();
 
-  sim::Simulator& sim_;
   Net& net_;
   int replication_;
 
-  std::unique_ptr<obs::Observability> own_obs_;
-  obs::Observability* obs_ = nullptr;
-
+  /// Null with one replica: the log then applies inline.
   std::unique_ptr<smr::Group> group_;
   std::vector<std::unique_ptr<ReconfigManager>> rms_;
-  /// Per-replica shadow state machines folding the same kCommit stream.
-  std::vector<smr::ConfigStateMachine> machines_;
   std::vector<bool> crashed_;
 
   /// applied_upto_[i] = highest applied slot + 1 at replica i;
@@ -147,10 +153,11 @@ class ReplicatedRm {
   std::unordered_map<std::uint64_t, DoneCallback> outstanding_;
   std::uint64_t next_cmd_id_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t state_divergences_ = 0;
 
   LeaderChangeFn on_leader_change_;
 
+  // The failover counters exist only with a group (one replica registers
+  // exactly the instruments of a lone RM, and never fails over).
   obs::Counter* leader_changes_ = nullptr;
   obs::Counter* rounds_resumed_ = nullptr;
   obs::Counter* stale_leader_msgs_ = nullptr;

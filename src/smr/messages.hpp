@@ -23,14 +23,13 @@ enum class RmLogKind : std::uint8_t {
 
 /// A replicated command. Q-OPT's control plane replicates quorum
 /// reconfiguration decisions; `id` provides exactly-once application across
-/// leader re-proposals. `origin`/`seq` identify the requester (so completion
+/// leader re-proposals. `seq` identifies the request (so completion
 /// callbacks survive RM leader failover) and `cfno` fences kCommit entries
 /// against stale-leader duplicates.
 struct Command {
   std::uint64_t id = 0;
   kv::QuorumChange change;
   RmLogKind kind = RmLogKind::kRequest;
-  std::uint32_t origin = 0;
   std::uint64_t seq = 0;
   std::uint64_t cfno = 0;
 };

@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
@@ -229,6 +230,10 @@ TEST(InterleaveGateTest, AllSmallScopeSchedulesPreserveTheContract) {
       << "exploration bounds too tight: raise kDepth or kWindow";
   EXPECT_EQ(first.max_branch_depth, kDepth)
       << "window too short to reach the full branching depth";
+  // Printed so a refactor can diff the explored set against its parent.
+  std::printf("interleave gate: %zu schedules, set_hash %016llx\n",
+              first.schedules,
+              static_cast<unsigned long long>(first.set_hash));
 
   // Same-seed rerun: the schedule set and every per-schedule outcome must
   // be byte-identical.

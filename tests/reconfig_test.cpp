@@ -60,16 +60,69 @@ TEST(ReconfigTest, EmptyPerObjectChangeRejected) {
 }
 
 TEST(ReconfigTest, ReconfigurationsSerialize) {
+  for (const std::uint32_t replicas : {1u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "rm_replicas=" << replicas);
+    ClusterConfig config = small_config();
+    config.rm_replicas = replicas;
+    Cluster cluster(config);
+    std::vector<int> completion_order;
+    cluster.reconfigure({4, 2}, [&](bool) { completion_order.push_back(1); });
+    cluster.reconfigure({3, 3}, [&](bool) { completion_order.push_back(2); });
+    cluster.reconfigure({2, 4}, [&](bool) { completion_order.push_back(3); });
+    if (replicas == 1) {
+      // The inline log queues every request before reconfigure() returns.
+      EXPECT_GE(cluster.rm().queued() + (cluster.rm().busy() ? 1u : 0u), 3u);
+    }
+    cluster.run_for(seconds(2));
+    EXPECT_EQ(completion_order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(cluster.rm().config().default_q, (kv::QuorumConfig::of(2, 4)));
+    EXPECT_EQ(cluster.rm().config().cfno, 3u);
+  }
+}
+
+TEST(ReconfigTest, CompletionCallbackMayReconfigureWhileAnotherIsQueued) {
+  // The first round's callback submits a third request while the second
+  // still waits in the queue. With one replica that request applies
+  // inline, re-entering the log from inside the first commit's apply.
+  for (const std::uint32_t replicas : {1u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "rm_replicas=" << replicas);
+    ClusterConfig config = small_config();
+    config.rm_replicas = replicas;
+    Cluster cluster(config);
+    std::vector<int> completion_order;
+    cluster.reconfigure({4, 2}, [&](bool ok) {
+      EXPECT_TRUE(ok);
+      completion_order.push_back(1);
+      cluster.reconfigure({2, 4}, [&](bool ok3) {
+        EXPECT_TRUE(ok3);
+        completion_order.push_back(3);
+      });
+    });
+    cluster.reconfigure({3, 3}, [&](bool ok) {
+      EXPECT_TRUE(ok);
+      completion_order.push_back(2);
+    });
+    cluster.run_for(seconds(2));
+    EXPECT_EQ(completion_order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(cluster.rm().config().default_q, (kv::QuorumConfig::of(2, 4)));
+    EXPECT_EQ(cluster.rm().config().cfno, 3u);
+    EXPECT_FALSE(cluster.rm().busy());
+  }
+}
+
+TEST(ReconfigTest, OneReplicaRmFaultsAreNoOps) {
+  // A lone RM replica has no group to fail over in: the RM fault hooks
+  // leave it running and reachable.
   Cluster cluster(small_config());
-  std::vector<int> completion_order;
-  cluster.reconfigure({4, 2}, [&](bool) { completion_order.push_back(1); });
-  cluster.reconfigure({3, 3}, [&](bool) { completion_order.push_back(2); });
-  cluster.reconfigure({2, 4}, [&](bool) { completion_order.push_back(3); });
-  EXPECT_GE(cluster.rm().queued() + (cluster.rm().busy() ? 1u : 0u), 3u);
-  cluster.run_for(seconds(2));
-  EXPECT_EQ(completion_order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(cluster.rm().config().default_q, (kv::QuorumConfig::of(2, 4)));
-  EXPECT_EQ(cluster.rm().config().cfno, 3u);
+  cluster.crash_rm(0);
+  cluster.restart_rm(0);
+  EXPECT_EQ(cluster.isolate_rm(0), 0u);
+  bool ok = false;
+  cluster.reconfigure({4, 2}, [&](bool success) { ok = success; });
+  cluster.run_for(seconds(1));
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(cluster.rm().config().cfno, 1u);
+  EXPECT_FALSE(cluster.report().has_rm_failover);
 }
 
 TEST(ReconfigTest, PerObjectOverridesInstalled) {
