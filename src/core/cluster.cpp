@@ -200,6 +200,17 @@ void Cluster::handle_rm_message(std::uint32_t replica,
 
 void Cluster::preload(std::uint64_t count, std::uint64_t size_bytes,
                       kv::ObjectId first_oid) {
+  // Size every store once for its expected share of the replicas, plus
+  // slack for placement imbalance: a node's share is binomial, and
+  // share / 16 + 16 exceeds several standard deviations of it at any count.
+  const std::uint64_t share =
+      count * static_cast<std::uint64_t>(config_.replication) /
+      config_.num_storage;
+  for (auto& node : storage_) {
+    node->reserve_objects(node->object_count() + share + share / 16 + 16);
+  }
+  std::vector<std::uint32_t> replicas;
+  replicas.reserve(static_cast<std::size_t>(config_.replication));
   for (std::uint64_t i = 0; i < count; ++i) {
     const kv::ObjectId oid = first_oid + i;
     kv::Version version;
@@ -207,7 +218,8 @@ void Cluster::preload(std::uint64_t count, std::uint64_t size_bytes,
     version.cfno = 0;
     version.value = oid;
     version.size_bytes = size_bytes;
-    for (std::uint32_t replica : placement_.replicas(oid)) {
+    placement_.replicas_into(oid, replicas);
+    for (std::uint32_t replica : replicas) {
       storage_[replica]->preload(oid, version);
     }
   }
@@ -239,6 +251,7 @@ void Cluster::run_for(Duration duration) {
     clients_started_ = true;
     for (auto& client : clients_) client->start();
   }
+  metrics_.reserve_until(sim_.now() + duration);
   sim_.run(sim_.now() + duration);
 }
 

@@ -11,13 +11,14 @@
 // across reconfigurations, crashes and false suspicions.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "kv/quorum.hpp"
 #include "kv/types.hpp"
+#include "util/flat_table.hpp"
 #include "util/time.hpp"
 
 namespace qopt {
@@ -36,15 +37,15 @@ class ConsistencyChecker {
   /// Records a client-visible write completion.
   void write_completed(kv::ObjectId oid, const kv::Timestamp& ts) {
     ++writes_tracked_;
-    auto [it, inserted] = freshest_.try_emplace(oid, ts);
-    if (!inserted && ts > it->second) it->second = ts;
+    auto [freshest, inserted] = freshest_.try_emplace(oid, ts);
+    if (!inserted && ts > *freshest) *freshest = ts;
   }
 
   /// Snapshot taken when a read is issued: the freshest write known to have
   /// completed by then. Reads must return at least this version.
   kv::Timestamp snapshot(kv::ObjectId oid) const {
-    auto it = freshest_.find(oid);
-    return it == freshest_.end() ? kv::Timestamp{} : it->second;
+    const kv::Timestamp* freshest = freshest_.find(oid);
+    return freshest == nullptr ? kv::Timestamp{} : *freshest;
   }
 
   /// Validates a completed read against the snapshot captured at its start.
@@ -56,6 +57,7 @@ class ConsistencyChecker {
     const bool ok =
         had_completed_write ? (found && returned >= expected_min) : true;
     if (!ok) {
+      // qopt-perf: allow(vector-growth-hot) runs only on a violation
       violations_.push_back(
           Violation{oid, start, end, found, returned, expected_min});
     }
@@ -83,13 +85,14 @@ class ConsistencyChecker {
   /// inversion).
   bool observe(std::uint32_t client, kv::ObjectId oid,
                const kv::Timestamp& ts) {
-    auto [it, inserted] = last_observed_.try_emplace({client, oid}, ts);
+    if (client >= last_observed_.size()) last_observed_.resize(client + 1);
+    auto [seen, inserted] = last_observed_[client].try_emplace(oid, ts);
     if (inserted) return false;
-    if (ts < it->second) {
+    if (ts < *seen) {
       ++inversions_;
       return true;
     }
-    it->second = ts;
+    *seen = ts;
     return false;
   }
 
@@ -121,23 +124,29 @@ class ConsistencyChecker {
 
   /// Records the replica set that served a completed operation under
   /// configuration `cfno`. `replicas` must be sorted (proxies report the
-  /// counted-reply set, which is). Repair-phase reads may legitimately use
-  /// historical quorums larger than the installed strategy, so only
-  /// emptiness of the same-generation intersection is flagged — never set
-  /// shapes. `cfno == 0` (unknown generation) opts the record out.
+  /// counted-reply set, which is) and is copied if kept: the caller's
+  /// buffer may be reused once this returns. Repair-phase reads may
+  /// legitimately use historical quorums larger than the installed
+  /// strategy, so only emptiness of the same-generation intersection is
+  /// flagged — never set shapes. `cfno == 0` (unknown generation) opts the
+  /// record out.
   void quorum_used(kv::ObjectId oid, bool is_write, std::uint64_t cfno,
-                   Time at, const std::vector<std::uint32_t>& replicas) {
+                   Time at, std::span<const std::uint32_t> replicas) {
     if (cfno == 0) return;
     if (is_write) {
-      last_write_quorum_[oid] = {cfno, replicas};
+      record_write_quorum(oid, cfno, replicas);
       return;
     }
-    auto it = last_write_quorum_.find(oid);
-    if (it == last_write_quorum_.end()) return;  // nothing to intersect yet
-    if (it->second.first != cfno) return;        // cross-generation pair
-    if (!kv::sets_intersect(replicas, it->second.second)) {
-      quorum_violations_.push_back(
-          QuorumViolation{oid, cfno, at, replicas, it->second.second});
+    const WriteQuorum* last = last_write_quorum_.find(oid);
+    if (last == nullptr) return;    // nothing to intersect yet
+    if (last->cfno != cfno) return;  // cross-generation pair
+    const std::span<const std::uint32_t> written(
+        write_quorum_members_.data() + last->offset, last->size);
+    if (!kv::sets_intersect(replicas, written)) {
+      // qopt-perf: allow(vector-growth-hot) runs only on a violation
+      quorum_violations_.push_back(QuorumViolation{
+          oid, cfno, at, {replicas.begin(), replicas.end()},
+          {written.begin(), written.end()}});
     }
   }
 
@@ -146,15 +155,43 @@ class ConsistencyChecker {
   }
 
  private:
-  // Ordered maps so any future export of the checker's state (diagnostic
-  // dumps of per-object freshness, per-client observations) enumerates
-  // deterministically; the checker is off the simulator's hot path.
-  std::map<kv::ObjectId, kv::Timestamp> freshest_;
-  std::map<std::pair<std::uint32_t, kv::ObjectId>, kv::Timestamp>
-      last_observed_;
-  std::map<kv::ObjectId,
-           std::pair<std::uint64_t, std::vector<std::uint32_t>>>
-      last_write_quorum_;
+  /// The last completed write's quorum of one object: `size` members at
+  /// `offset` in write_quorum_members_, in a region of `room` entries.
+  struct WriteQuorum {
+    std::uint64_t cfno = 0;
+    std::uint32_t offset = 0;
+    std::uint32_t size = 0;
+    std::uint32_t room = 0;
+  };
+
+  void record_write_quorum(kv::ObjectId oid, std::uint64_t cfno,
+                           std::span<const std::uint32_t> replicas) {
+    auto [last, inserted] = last_write_quorum_.try_emplace(oid, WriteQuorum{});
+    const auto size = static_cast<std::uint32_t>(replicas.size());
+    if (inserted || size > last->room) {
+      // The object's region is too small (or it has none): append a fresh
+      // one. Regions only grow, to at most the replication degree, so the
+      // arena holds a bounded few per object.
+      last->offset = static_cast<std::uint32_t>(write_quorum_members_.size());
+      last->room = size;
+      write_quorum_members_.insert(write_quorum_members_.end(),
+                                   replicas.begin(), replicas.end());
+    } else {
+      std::copy(replicas.begin(), replicas.end(),
+                write_quorum_members_.begin() + last->offset);
+    }
+    last->cfno = cfno;
+    last->size = size;
+  }
+
+  // The checker runs on every client operation (a snapshot or an observe
+  // per op, a quorum record per proxy completion), so its state lives in
+  // flat tables. Nothing iterates them: their slot order never reaches an
+  // output.
+  FlatTable<kv::Timestamp> freshest_;
+  std::vector<FlatTable<kv::Timestamp>> last_observed_;  // per client
+  FlatTable<WriteQuorum> last_write_quorum_;
+  std::vector<std::uint32_t> write_quorum_members_;  // WriteQuorum arena
   std::vector<QuorumViolation> quorum_violations_;
   std::vector<Violation> violations_;
   std::uint64_t reads_checked_ = 0;

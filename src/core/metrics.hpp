@@ -25,6 +25,11 @@ class Metrics {
 
   void record(const proxy::OpRecord& record);
   void reset();
+  /// Sizes the throughput timeline for completions up to `end`, so that
+  /// recording them never grows it (Cluster::run_for reserves its horizon).
+  void reserve_until(Time end) {
+    buckets_.reserve(static_cast<std::size_t>(end / bucket_width_) + 1);
+  }
 
   std::uint64_t total_ops() const noexcept { return total_ops_; }
   std::uint64_t total_reads() const noexcept { return total_reads_; }

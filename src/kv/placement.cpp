@@ -1,6 +1,5 @@
 #include "kv/placement.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "kv/types.hpp"
@@ -18,6 +17,7 @@ Placement::Placement(std::uint32_t num_storage_nodes, int replication_degree,
     throw std::invalid_argument(
         "Placement: replication degree must be in [1, num_storage_nodes]");
   }
+  top_.resize(static_cast<std::size_t>(replication_degree));
 }
 
 std::vector<std::uint32_t> Placement::replicas(ObjectId oid) const {
@@ -28,23 +28,25 @@ std::vector<std::uint32_t> Placement::replicas(ObjectId oid) const {
 
 void Placement::replicas_into(ObjectId oid,
                               std::vector<std::uint32_t>& out) const {
-  weights_.clear();
-  weights_.reserve(num_nodes_);
+  // Top-N selection by insertion: top_[0, held) keeps the heaviest nodes
+  // seen so far, weight descending. Nodes arrive in ascending order, so a
+  // node never displaces an equal-weight one already held: ties rank by
+  // node ascending.
+  const auto k = static_cast<std::size_t>(replication_);
+  std::size_t held = 0;
   for (std::uint32_t node = 0; node < num_nodes_; ++node) {
     const std::uint64_t w =
         mix64(oid ^ (static_cast<std::uint64_t>(node) * 0x9E3779B97F4A7C15ULL) ^
               seed_);
-    weights_.push_back(Weighted{w, node});
+    if (held == k && w <= top_[k - 1].weight) continue;
+    std::size_t pos = held < k ? held++ : k - 1;
+    for (; pos > 0 && top_[pos - 1].weight < w; --pos) {
+      top_[pos] = top_[pos - 1];
+    }
+    top_[pos] = Weighted{w, node};
   }
-  const auto k = static_cast<std::size_t>(replication_);
-  std::partial_sort(weights_.begin(), weights_.begin() + static_cast<long>(k),
-                    weights_.end(), [](const Weighted& a, const Weighted& b) {
-                      if (a.weight != b.weight) return a.weight > b.weight;
-                      return a.node < b.node;
-                    });
-  out.clear();
-  out.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) out.push_back(weights_[i].node);
+  out.resize(k);
+  for (std::size_t i = 0; i < k; ++i) out[i] = top_[i].node;
 }
 
 }  // namespace qopt::kv

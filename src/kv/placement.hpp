@@ -41,10 +41,10 @@ class Placement {
   std::uint32_t num_nodes_;
   int replication_;
   std::uint64_t seed_;
-  /// Scratch for the rendezvous weights, reused across calls so the
+  /// Scratch for the replication-degree heaviest nodes, sized once so the
   /// placement lookup does not allocate per operation. Placement is only
   /// ever used from the single-threaded simulation loop.
-  mutable std::vector<Weighted> weights_;
+  mutable std::vector<Weighted> top_;
 };
 
 }  // namespace qopt::kv

@@ -151,8 +151,8 @@ std::string QuorumStrategy::describe() const {
   return buf;
 }
 
-bool sets_intersect(const std::vector<std::uint32_t>& a,
-                    const std::vector<std::uint32_t>& b) {
+bool sets_intersect(std::span<const std::uint32_t> a,
+                    std::span<const std::uint32_t> b) {
   std::size_t i = 0;
   std::size_t j = 0;
   while (i < a.size() && j < b.size()) {

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -142,8 +143,8 @@ bool quorums_intersect(const std::vector<WeightedQuorum>& a,
                        const std::vector<WeightedQuorum>& b);
 
 /// True when the two sorted slot sets share at least one element.
-bool sets_intersect(const std::vector<std::uint32_t>& a,
-                    const std::vector<std::uint32_t>& b);
+bool sets_intersect(std::span<const std::uint32_t> a,
+                    std::span<const std::uint32_t> b);
 
 /// Transition strategy of a reconfiguration old -> next: the component-wise
 /// max of the two grid footprints, expressed as a majority strategy. Any

@@ -71,7 +71,7 @@ void StorageNode::crash() {
   net_.set_crashed(self_);
   // The dedup table is volatile: a retransmit arriving after restart is
   // re-applied, which the freshest-wins rule makes safe.
-  applied_writes_.clear();
+  for (AppliedWrites& window : applied_writes_) window.clear();
 }
 
 void StorageNode::restart() {
@@ -82,8 +82,7 @@ void StorageNode::restart() {
 }
 
 const Version* StorageNode::peek(ObjectId oid) const {
-  auto it = store_.find(oid);
-  return it == store_.end() ? nullptr : &it->second;
+  return store_.find(oid);
 }
 
 void StorageNode::send_nack(const sim::NodeId& to, std::uint64_t op_id) {
@@ -98,8 +97,8 @@ void StorageNode::handle_read(const sim::NodeId& from,
     send_nack(from, req.op_id);
     return;
   }
-  const auto it = store_.find(req.oid);
-  const std::uint64_t size = it != store_.end() ? it->second.size_bytes : 0;
+  const Version* current = store_.find(req.oid);
+  const std::uint64_t size = current != nullptr ? current->size_bytes : 0;
   const Time done = pool_.submit(sim_.now(), service_.read_time(size, rng_));
   if (req.span.valid()) {
     // Service interval is known up front, so the span opens and closes here
@@ -119,19 +118,62 @@ void StorageNode::handle_read(const sim::NodeId& from,
     ins_.reads_served->inc();
     StorageReadResp resp;
     resp.op_id = op_id;
-    if (auto sit = store_.find(oid); sit != store_.end()) {
+    if (const Version* stored = store_.find(oid)) {
       resp.found = true;
-      resp.version = sit->second;  // cfno piggybacked inside the version
+      resp.version = *stored;  // cfno piggybacked inside the version
     }
     net_.send(self_, from, resp);
   });
 }
 
-std::set<std::uint64_t>& StorageNode::applied_writes_for(std::uint32_t index) {
+StorageNode::AppliedWrites& StorageNode::applied_writes_for(
+    std::uint32_t index) {
   // Grows only on the first write from a new proxy; afterwards the lookup
   // is a plain vector access.
   if (index >= applied_writes_.size()) applied_writes_.resize(index + 1);
   return applied_writes_[index];
+}
+
+std::size_t StorageNode::AppliedWrites::lower_bound(
+    std::uint64_t op_id) const noexcept {
+  std::size_t lo = 0;
+  std::size_t hi = size_;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (at(mid) < op_id) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+bool StorageNode::AppliedWrites::contains(std::uint64_t op_id) const noexcept {
+  // A new write carries an id above every applied one: one comparison.
+  if (size_ == 0 || op_id > at(size_ - 1)) return false;
+  const std::size_t pos = lower_bound(op_id);
+  return pos < size_ && at(pos) == op_id;
+}
+
+void StorageNode::AppliedWrites::insert(std::uint64_t op_id) {
+  if (ring_.empty()) ring_.resize(kDedupWindow);
+  std::size_t pos =
+      size_ == 0 || op_id > at(size_ - 1) ? size_ : lower_bound(op_id);
+  if (pos < size_ && at(pos) == op_id) return;  // already held
+  if (size_ == kDedupWindow) {
+    // Full: keep the kDedupWindow largest ids. An id below all of them is
+    // evicted as soon as it is inserted; otherwise the smallest goes.
+    if (pos == 0) return;
+    head_ = (head_ + 1) & kMask;
+    --size_;
+    --pos;
+  }
+  for (std::size_t i = size_; i > pos; --i) {
+    ring_[(head_ + i) & kMask] = ring_[(head_ + i - 1) & kMask];
+  }
+  ring_[(head_ + pos) & kMask] = op_id;
+  ++size_;
 }
 
 void StorageNode::handle_write(const sim::NodeId& from,
@@ -170,17 +212,16 @@ void StorageNode::handle_write(const sim::NodeId& from,
     if (crashed_ || inc != incarnation_) return;
     // Apply-or-discard at service completion: newer timestamps win; an older
     // write is discarded but still acknowledged (Section 2.1).
-    auto [it, inserted] = store_.try_emplace(oid, version);
+    auto [stored, inserted] = store_.try_emplace(oid, version);
     if (!inserted) {
-      if (version.ts > it->second.ts) {
-        it->second = version;
+      if (version.ts > stored->ts) {
+        *stored = version;
         ins_.writes_applied->inc();
-      } else if (version.ts == it->second.ts &&
-                 version.cfno > it->second.cfno) {
+      } else if (version.ts == stored->ts && version.cfno > stored->cfno) {
         // Same write re-propagated under a newer configuration (the
         // read-repair write-back of Algorithm 4): refresh the cfno tag so
         // future reads need not repeat the historical-quorum read.
-        it->second.cfno = version.cfno;
+        stored->cfno = version.cfno;
         ins_.writes_applied->inc();
       } else {
         ins_.writes_discarded->inc();
@@ -188,12 +229,9 @@ void StorageNode::handle_write(const sim::NodeId& from,
     } else {
       ins_.writes_applied->inc();
     }
-    auto& applied = applied_writes_for(from.index);
-    applied.insert(op_id);
-    // Bound the window; proxy op-ids grow monotonically, so evicting the
+    // Bounded window; proxy op-ids grow monotonically, so evicting the
     // smallest ids loses only the oldest (least likely to re-arrive) ones.
-    constexpr std::size_t kDedupWindow = 4096;
-    while (applied.size() > kDedupWindow) applied.erase(applied.begin());
+    applied_writes_for(from.index).insert(op_id);
     net_.send(self_, from, StorageWriteResp{op_id});
   });
 }
@@ -205,13 +243,12 @@ Time StorageNode::replicate_in(ObjectId oid, const Version& version) {
   sim_.at(done, [this, oid, version, inc = incarnation_] {
     QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kStorage);
     if (crashed_ || inc != incarnation_) return;
-    auto [it, inserted] = store_.try_emplace(oid, version);
+    auto [stored, inserted] = store_.try_emplace(oid, version);
     if (!inserted) {
-      if (version.ts > it->second.ts) {
-        it->second = version;
-      } else if (version.ts == it->second.ts &&
-                 version.cfno > it->second.cfno) {
-        it->second.cfno = version.cfno;
+      if (version.ts > stored->ts) {
+        *stored = version;
+      } else if (version.ts == stored->ts && version.cfno > stored->cfno) {
+        stored->cfno = version.cfno;
       }
     }
   });

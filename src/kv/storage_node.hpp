@@ -12,12 +12,11 @@
 //    disk-bound writes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "kv/quorum.hpp"
@@ -29,6 +28,7 @@
 #include "sim/ids.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "util/flat_table.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -69,26 +69,33 @@ class StorageNode {
   /// Direct store inspection for tests; returns nullptr when absent.
   const Version* peek(ObjectId oid) const;
 
+  /// Sizes the store once so that `objects` objects fit without growing
+  /// (the bulk load phase calls this before preloading).
+  void reserve_objects(std::size_t objects) { store_.reserve(objects); }
+
   /// Installs a version directly, bypassing the protocol (bulk load phase).
   void preload(ObjectId oid, const Version& version) {
-    store_[oid] = version;
+    store_.insert_or_assign(oid, version);
   }
 
   /// Full store contents as an oid-ordered snapshot (diagnostics/tests).
-  /// The live store is a hash map for the hot path; exposing it directly
-  /// would leak implementation-defined iteration order.
+  /// The live store is a hash table for the hot path; exposing it directly
+  /// would leak its slot order.
   std::map<ObjectId, Version> sorted_contents() const {
-    return {store_.begin(), store_.end()};
+    std::map<ObjectId, Version> out;
+    store_.for_each([&out](ObjectId oid, const Version& version) {
+      out.emplace(oid, version);
+    });
+    return out;
   }
 
   /// Visits every stored (oid, version) pair without materializing a
-  /// snapshot (anti-entropy sweeps). Iteration order is the hash map's —
-  /// implementation-defined — so callers deriving schedules from it must
-  /// sort what they collect (the replicator stable-sorts into its scratch).
+  /// snapshot (anti-entropy sweeps). Iteration follows the hash table's
+  /// slot order, so callers deriving schedules from it must sort what they
+  /// collect (the replicator stable-sorts into its scratch).
   template <typename Fn>
   void for_each_version(Fn&& fn) const {
-    // qopt-lint: allow(unordered-iter) callers must sort what they collect
-    for (const auto& [oid, version] : store_) fn(oid, version);
+    store_.for_each(fn);
   }
 
   /// Anti-entropy push from the replicator daemon: pays write service time
@@ -110,24 +117,49 @@ class StorageNode {
   ServiceTimes service_;
   ServicePool pool_;
   Rng rng_;
-  std::unordered_map<ObjectId, Version> store_;
+  FlatTable<Version> store_;
   FullConfig config_;  // epno/cfno/current quorum state, from NEWEP messages
   bool crashed_ = false;
   /// Bumped on every crash: service-completion events scheduled before the
   /// crash carry the old incarnation and are discarded, so a quick restart
   /// cannot resurrect requests the crash should have lost.
   std::uint64_t incarnation_ = 0;
-  /// At-least-once write dedup: per-proxy set of write op-ids whose apply
-  /// already ran (inserted at service completion, so a dedup ack never
-  /// precedes durability). Bounded by pruning the oldest ids; an evicted id
-  /// that re-arrives is re-applied, which the freshest-wins rule makes
-  /// idempotent. Volatile: cleared on crash (it is RAM, not disk).
-  /// Indexed by the dense proxy index (grown on demand) so the per-write
-  /// lookup is a vector access, not a map-node search/allocation.
-  std::vector<std::set<std::uint64_t>> applied_writes_;
+  /// At-least-once write dedup for one proxy: the kDedupWindow largest
+  /// write op ids whose apply already ran (inserted at service completion,
+  /// so a dedup ack never precedes durability). Completions can arrive out
+  /// of id order; an id smaller than every id held is evicted at once, and
+  /// an evicted id that re-arrives is re-applied, which the freshest-wins
+  /// rule makes idempotent. The ids sit sorted in a fixed ring allocated on
+  /// the proxy's first write: proxy op ids grow, so an insert is almost
+  /// always an append that overwrites the evicted smallest id.
+  class AppliedWrites {
+   public:
+    static constexpr std::size_t kDedupWindow = 4096;  // a power of two
 
-  /// The dedup set for proxy `index`, growing the table on first contact.
-  std::set<std::uint64_t>& applied_writes_for(std::uint32_t index);
+    bool contains(std::uint64_t op_id) const noexcept;
+    void insert(std::uint64_t op_id);
+    void clear() noexcept { size_ = 0; }
+
+   private:
+    static constexpr std::size_t kMask = kDedupWindow - 1;
+    std::uint64_t at(std::size_t i) const noexcept {
+      return ring_[(head_ + i) & kMask];
+    }
+    /// First position whose id is >= op_id (size_ when none).
+    std::size_t lower_bound(std::uint64_t op_id) const noexcept;
+
+    std::vector<std::uint64_t> ring_;  // kDedupWindow slots once used
+    std::size_t head_ = 0;             // slot of the smallest id held
+    std::size_t size_ = 0;
+  };
+
+  /// Indexed by the dense proxy index (grown on demand) so the per-write
+  /// lookup is a vector access. Volatile: cleared on crash (it is RAM, not
+  /// disk).
+  std::vector<AppliedWrites> applied_writes_;
+
+  /// The dedup window for proxy `index`, growing the table on first contact.
+  AppliedWrites& applied_writes_for(std::uint32_t index);
 
   // Observability: counters cached at construction, bumped on the hot path.
   std::unique_ptr<obs::Observability> own_obs_;  // fallback when none shared

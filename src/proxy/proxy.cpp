@@ -83,10 +83,13 @@ void Proxy::crash() {
   net_.set_crashed(self_);
   // End in-flight traces so the span store's live set stays bounded; their
   // open spans are force-closed at the crash instant.
-  for (auto& [id, op] : ops_) {
-    if (op.trace_ctx.valid()) obs_->spans().end_trace(op.trace_ctx, sim_.now());
+  for (const LiveOp& live : live_ops_) {
+    if (live.op->trace_ctx.valid()) {
+      obs_->spans().end_trace(live.op->trace_ctx, sim_.now());
+    }
+    release_op(*live.op);
   }
-  ops_.clear();
+  live_ops_.clear();
   // The deadlines died with the ops; retire the armed event too.
   ++deadline_gen_;
   deadline_armed_at_ = kNoDeadline;
@@ -126,6 +129,53 @@ void Proxy::heartbeat_loop(std::uint64_t gen) {
     QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kProxy);
     heartbeat_loop(gen);
   });
+}
+
+// --------------------------------------------------------------- op table
+
+Proxy::PendingOp& Proxy::add_op(std::uint64_t op_id) {
+  if (free_ops_.empty()) grow_op_slab();
+  PendingOp& op = *free_ops_.back();
+  free_ops_.pop_back();
+  op.recycle();
+  list_op(op_id, op);
+  return op;
+}
+
+void Proxy::grow_op_slab() {
+  op_slab_.emplace_back();
+  live_ops_.reserve(op_slab_.size());
+  free_ops_.reserve(op_slab_.size());
+  free_ops_.push_back(&op_slab_.back());
+}
+
+void Proxy::list_op(std::uint64_t op_id, PendingOp& op) {
+  assert(live_ops_.empty() || live_ops_.back().id < op_id);
+  // qopt-perf: allow(vector-growth-hot) grow_op_slab reserved room per slot
+  live_ops_.push_back(LiveOp{op_id, &op});
+}
+
+std::vector<Proxy::LiveOp>::iterator Proxy::live_position(
+    std::uint64_t op_id) {
+  return std::lower_bound(
+      live_ops_.begin(), live_ops_.end(), op_id,
+      [](const LiveOp& live, std::uint64_t id) { return live.id < id; });
+}
+
+void Proxy::unlist_op(std::uint64_t op_id) {
+  const auto it = live_position(op_id);
+  assert(it != live_ops_.end() && it->id == op_id);
+  live_ops_.erase(it);
+}
+
+void Proxy::release_op(PendingOp& op) {
+  // qopt-perf: allow(vector-growth-hot) grow_op_slab reserved room per slot
+  free_ops_.push_back(&op);
+}
+
+Proxy::PendingOp* Proxy::find_op(std::uint64_t op_id) {
+  const auto it = live_position(op_id);
+  return it != live_ops_.end() && it->id == op_id ? it->op : nullptr;
 }
 
 // ---------------------------------------------------------------- quorums
@@ -262,22 +312,21 @@ void Proxy::start_read(ObjectId oid, sim::NodeId client,
                        std::uint64_t client_req, Time start_time,
                        obs::SpanContext trace_ctx) {
   const std::uint64_t op_id = next_op_id_++;
-  PendingOp op;
+  PendingOp& op = add_op(op_id);
   op.kind = PendingOp::Kind::kRead;
   op.oid = oid;
   op.client = client;
   op.client_req = client_req;
   op.start_time = start_time;
   op.trace_ctx = trace_ctx;
-  ops_.emplace(op_id, std::move(op));
-  launch_op(op_id);
+  launch_op(op_id, op);
 }
 
 void Proxy::start_write(ObjectId oid, Version version, sim::NodeId client,
                         std::uint64_t client_req, Time start_time,
                         PendingOp::Kind kind, obs::SpanContext trace_ctx) {
   const std::uint64_t op_id = next_op_id_++;
-  PendingOp op;
+  PendingOp& op = add_op(op_id);
   op.kind = kind;
   op.oid = oid;
   op.client = client;
@@ -285,12 +334,10 @@ void Proxy::start_write(ObjectId oid, Version version, sim::NodeId client,
   op.write_version = version;
   op.start_time = start_time;
   op.trace_ctx = trace_ctx;
-  ops_.emplace(op_id, std::move(op));
-  launch_op(op_id);
+  launch_op(op_id, op);
 }
 
-void Proxy::launch_op(std::uint64_t op_id) {
-  PendingOp& op = ops_.at(op_id);
+void Proxy::launch_op(std::uint64_t op_id, PendingOp& op) {
   op.epno_used = lepno_;
   op.cfno_used = lcfno_;
   op.received = 0;
@@ -332,19 +379,21 @@ void Proxy::launch_op(std::uint64_t op_id) {
     const kv::WeightedQuorum& drawn = is_read
                                           ? strategy.sample_read(quorum_rng_)
                                           : strategy.sample_write(quorum_rng_);
-    std::vector<std::uint32_t> order;
+    std::vector<std::uint32_t>& order = order_scratch_;
+    order.clear();
     order.reserve(n);
-    std::vector<bool> taken(n, false);
     op.drawn.clear();
     for (std::uint32_t slot : drawn.members) {
       order.push_back(op.replica_order[slot]);
       op.drawn.push_back(op.replica_order[slot]);
-      taken[slot] = true;
     }
-    for (std::size_t slot = 0; slot < n; ++slot) {
-      if (!taken[slot]) order.push_back(op.replica_order[slot]);
+    for (std::uint32_t slot = 0; slot < n; ++slot) {
+      if (std::find(drawn.members.begin(), drawn.members.end(), slot) ==
+          drawn.members.end()) {
+        order.push_back(op.replica_order[slot]);
+      }
     }
-    op.replica_order = std::move(order);
+    op.replica_order.swap(order);
     op.needed = static_cast<int>(drawn.members.size());
     op.footprint_needed = is_read ? strategy.read_footprint()
                                   : strategy.write_footprint();
@@ -453,10 +502,9 @@ void Proxy::fire_deadlines(std::uint64_t gen) {
   Time next = kNoDeadline;
   // Issue order: the scan is about ten ops long and iteration order is
   // part of the deterministic schedule (sends, jitter draws).
-  for (auto it = ops_.begin(); it != ops_.end();) {
-    const std::uint64_t op_id = it->first;
-    PendingOp& op = it->second;
-    ++it;  // a failed op is erased below
+  for (std::size_t i = 0; i < live_ops_.size();) {
+    const std::uint64_t op_id = live_ops_[i].id;
+    PendingOp& op = *live_ops_[i].op;
     for (Time& at : op.fallback_at) {
       if (at <= now) {
         at = kNoDeadline;
@@ -465,10 +513,12 @@ void Proxy::fire_deadlines(std::uint64_t gen) {
     }
     if (op.retransmit_at <= now) {
       op.retransmit_at = kNoDeadline;
+      // A failed op leaves the index: the next one moved up to index i.
       if (!fire_retransmit(op_id, op)) continue;
     }
     next = std::min({next, op.fallback_at[0], op.fallback_at[1],
                      op.retransmit_at});
+    ++i;
   }
   if (next != kNoDeadline) arm_deadline(next);
 }
@@ -489,7 +539,7 @@ bool Proxy::fire_retransmit(std::uint64_t op_id, PendingOp& op) {
   if (quorum_met(op)) return true;
   const int attempt = op.retransmit_attempt;
   if (attempt >= options_.retry_budget) {
-    fail_op(op_id);
+    fail_op(op_id, op);
     return false;
   }
   ins_.retries->inc();
@@ -512,9 +562,8 @@ bool Proxy::fire_retransmit(std::uint64_t op_id, PendingOp& op) {
   return true;
 }
 
-void Proxy::fail_op(std::uint64_t op_id) {
-  auto node = ops_.extract(op_id);
-  PendingOp op = std::move(node.mapped());
+void Proxy::fail_op(std::uint64_t op_id, PendingOp& op) {
+  unlist_op(op_id);
   ins_.timeouts->inc();
   abort_op_spans(op, sim_.now());
   if (op.trace_ctx.valid()) {
@@ -541,6 +590,7 @@ void Proxy::fail_op(std::uint64_t op_id) {
   // A draining op that times out still drains — otherwise a single lost
   // replica would wedge the NEWQ handshake forever.
   if (op.drains) op_completed_for_drain();
+  release_op(op);
 }
 
 // ------------------------------------------------------------- span layer
@@ -603,9 +653,9 @@ void Proxy::abort_op_spans(PendingOp& op, Time at) {
 
 void Proxy::handle_read_reply(const sim::NodeId& from,
                               const kv::StorageReadResp& resp) {
-  auto it = ops_.find(resp.op_id);
-  if (it == ops_.end()) return;  // stale attempt or already completed
-  PendingOp& op = it->second;
+  PendingOp* found = find_op(resp.op_id);
+  if (found == nullptr) return;  // stale attempt or already completed
+  PendingOp& op = *found;
   if (!op.replied.insert(from.index)) {
     // Network duplicate or retransmit answer from an already-counted
     // replica: a quorum must be `needed` *distinct* replicas.
@@ -620,11 +670,10 @@ void Proxy::handle_read_reply(const sim::NodeId& from,
     op.best = resp.version;
     op.any_found = true;
   }
-  maybe_complete_read(resp.op_id);
+  maybe_complete_read(resp.op_id, op);
 }
 
-void Proxy::maybe_complete_read(std::uint64_t op_id) {
-  PendingOp& op = ops_.at(op_id);
+void Proxy::maybe_complete_read(std::uint64_t op_id, PendingOp& op) {
   if (!quorum_met(op)) return;
 
   if (!op.repair && op.any_found && op.best.cfno < lcfno_) {
@@ -669,9 +718,9 @@ void Proxy::maybe_complete_read(std::uint64_t op_id) {
 
 void Proxy::handle_write_reply(const sim::NodeId& from,
                                const kv::StorageWriteResp& resp) {
-  auto it = ops_.find(resp.op_id);
-  if (it == ops_.end()) return;
-  PendingOp& op = it->second;
+  PendingOp* found = find_op(resp.op_id);
+  if (found == nullptr) return;
+  PendingOp& op = *found;
   if (!op.replied.insert(from.index)) {
     ins_.duplicate_replies->inc();
     return;
@@ -687,17 +736,13 @@ void Proxy::handle_write_reply(const sim::NodeId& from,
 void Proxy::handle_nack(const kv::EpochNack& nack) {
   ins_.nacks_received->inc();
   if (nack.config.epno > lepno_) adopt_full_config(nack.config);
-  auto it = ops_.find(nack.op_id);
-  if (it == ops_.end()) return;
-  retry_op(nack.op_id);
+  if (PendingOp* op = find_op(nack.op_id)) retry_op(nack.op_id, *op);
 }
 
-void Proxy::retry_op(std::uint64_t op_id) {
+void Proxy::retry_op(std::uint64_t op_id, PendingOp& op) {
   // Re-execute the operation in the (newly learned) epoch. A fresh op-id
   // fences replies belonging to the aborted attempt.
   ins_.op_retries->inc();
-  auto node = ops_.extract(op_id);
-  PendingOp op = std::move(node.mapped());
   abort_op_spans(op, sim_.now());
   if (op.trace_ctx.valid()) {
     // Zero-duration marker: the NACK aborted the attempt here; launch_op
@@ -712,14 +757,18 @@ void Proxy::retry_op(std::uint64_t op_id) {
     // Re-tag the version with the configuration it is (re)written under.
     op.write_version.cfno = lcfno_;
   }
+  // The same slot, re-keyed: the new id is the largest, so it lists at the
+  // tail of the index.
+  unlist_op(op_id);
   const std::uint64_t new_id = next_op_id_++;
-  ops_.emplace(new_id, std::move(op));
-  launch_op(new_id);
+  list_op(new_id, op);
+  launch_op(new_id, op);
 }
 
-void Proxy::finish_op(std::uint64_t op_id, PendingOp& op_ref) {
-  PendingOp op = std::move(op_ref);
-  ops_.erase(op_id);
+void Proxy::finish_op(std::uint64_t op_id, PendingOp& op) {
+  // Unlisted first, so nothing finds the op by id any more; the slot is
+  // released last, after the write-back below took a slot of its own.
+  unlist_op(op_id);
 
   const bool is_read = op.kind == PendingOp::Kind::kRead;
   if (is_read) {
@@ -739,8 +788,7 @@ void Proxy::finish_op(std::uint64_t op_id, PendingOp& op_ref) {
     // hold the repaired version.
     if (on_complete_) {
       on_complete_(OpRecord{op.oid, true, op.start_time, sim_.now(),
-                            self_.index, op.cfno_used,
-                            {op.replied.begin(), op.replied.end()}});
+                            self_.index, op.cfno_used, op.replied.members()});
     }
   }
 
@@ -755,8 +803,7 @@ void Proxy::finish_op(std::uint64_t op_id, PendingOp& op_ref) {
     round_latency_sum_ms_ += to_millis(latency);
     if (on_complete_) {
       on_complete_(OpRecord{op.oid, !is_read, op.start_time, sim_.now(),
-                            self_.index, op.cfno_used,
-                            {op.replied.begin(), op.replied.end()}});
+                            self_.index, op.cfno_used, op.replied.members()});
     }
   }
 
@@ -778,6 +825,7 @@ void Proxy::finish_op(std::uint64_t op_id, PendingOp& op_ref) {
   // Only ops issued before the NEWQ count toward its drain; ops launched
   // under the transition quorum must not release the ACKNEWQ early.
   if (op.drains) op_completed_for_drain();
+  release_op(op);
 }
 
 // ----------------------------------------------------- reconfiguration path
@@ -851,8 +899,8 @@ void Proxy::handle_new_quorum(const sim::NodeId& from,
   drain_cfno_ = msg.cfno;
   drain_reply_to_ = from;
   drain_remaining_ = 0;
-  for (auto& [id, op] : ops_) {
-    op.drains = true;
+  for (const LiveOp& live : live_ops_) {
+    live.op->drains = true;
     ++drain_remaining_;
   }
   if (drain_remaining_ == 0) {

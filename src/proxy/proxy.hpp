@@ -25,8 +25,10 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
+#include <span>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -85,8 +87,10 @@ struct OpRecord {
   /// intersection.
   std::uint64_t cfno = 0;
   /// Storage indices whose replies formed the quorum (sorted); feeds the
-  /// consistency checker's read/write intersection audit.
-  std::vector<std::uint32_t> quorum;
+  /// consistency checker's read/write intersection audit. It views the
+  /// proxy's per-op buffer and is valid only during the callback: copy
+  /// whatever must outlive it.
+  std::span<const std::uint32_t> quorum;
 };
 
 class Proxy {
@@ -142,7 +146,10 @@ class Proxy {
   /// Observability bundle in use (the shared one, or the private fallback).
   obs::Observability& observability() noexcept { return *obs_; }
   const obs::Observability& observability() const noexcept { return *obs_; }
-  std::size_t pending_ops() const noexcept { return ops_.size(); }
+  std::size_t pending_ops() const noexcept { return live_ops_.size(); }
+  /// Pending-op slots allocated so far: the high-water mark of in-flight
+  /// operations (slots are recycled, never freed).
+  std::size_t op_slots() const noexcept { return op_slab_.size(); }
   std::size_t override_count() const noexcept { return overrides_.size(); }
 
  private:
@@ -164,8 +171,9 @@ class Proxy {
     }
     void clear() noexcept { members_.clear(); }
     void reserve(std::size_t n) { members_.reserve(n); }
-    auto begin() const noexcept { return members_.begin(); }
-    auto end() const noexcept { return members_.end(); }
+    std::span<const std::uint32_t> members() const noexcept {
+      return members_;
+    }
 
    private:
     std::vector<std::uint32_t> members_;  // sorted ascending
@@ -244,7 +252,42 @@ class Proxy {
     std::array<Time, 2> fallback_at{kNoDeadline, kNoDeadline};
     Time retransmit_at = kNoDeadline;
     int retransmit_attempt = 0;  // round the retransmit deadline starts
+
+    /// Resets every field for a new op. The buffers (replica_order, drawn,
+    /// replied, rpc_spans) keep their capacity, so a recycled slot runs its
+    /// next op without allocating.
+    void recycle() {
+      std::vector<std::uint32_t> order = std::move(replica_order);
+      std::vector<std::uint32_t> drawn_set = std::move(drawn);
+      ReplicaSet replied_set = std::move(replied);
+      auto spans = std::move(rpc_spans);
+      *this = PendingOp{};
+      replica_order = std::move(order);
+      replica_order.clear();
+      drawn = std::move(drawn_set);
+      drawn.clear();
+      replied = std::move(replied_set);
+      replied.clear();
+      rpc_spans = std::move(spans);
+      rpc_spans.clear();
+    }
   };
+
+  // -------------------------------------------------------------- op table
+  /// Takes a free slot (growing the slab when none is left), resets it and
+  /// lists it under `op_id`.
+  PendingOp& add_op(std::uint64_t op_id);
+  /// The cold path of add_op: one more slot, and room for it in the index
+  /// and the free list so that listing and releasing never reallocate.
+  void grow_op_slab();
+  /// Lists `op` under `op_id`, a fresh id: the tail of the index.
+  void list_op(std::uint64_t op_id, PendingOp& op);
+  /// Removes `op_id` from the index; its slot stays intact until released.
+  void unlist_op(std::uint64_t op_id);
+  /// Returns an unlisted op's slot to the free list.
+  void release_op(PendingOp& op);
+  /// The live op listed under `op_id`, or nullptr.
+  PendingOp* find_op(std::uint64_t op_id);
 
   // ----------------------------------------------------------- client ops
   void handle_client_read(const sim::NodeId& from, const kv::ClientReadReq&);
@@ -256,7 +299,7 @@ class Proxy {
   void start_write(kv::ObjectId oid, kv::Version version, sim::NodeId client,
                    std::uint64_t client_req, Time start_time,
                    PendingOp::Kind kind, obs::SpanContext trace_ctx);
-  void launch_op(std::uint64_t op_id);
+  void launch_op(std::uint64_t op_id, PendingOp& op);
   void contact_replicas(std::uint64_t op_id, PendingOp& op, int upto);
   void send_request(std::uint64_t op_id, PendingOp& op, std::uint32_t replica,
                     bool open_span);
@@ -274,9 +317,10 @@ class Proxy {
   /// no-op.
   void fire_deadlines(std::uint64_t gen);
   void fire_fallback(std::uint64_t op_id, PendingOp& op);
-  /// Returns false when the op exhausted its budget and was failed (erased).
+  /// Returns false when the op exhausted its budget and was failed
+  /// (unlisted and released).
   bool fire_retransmit(std::uint64_t op_id, PendingOp& op);
-  void fail_op(std::uint64_t op_id);
+  void fail_op(std::uint64_t op_id, PendingOp& op);
   void finish_op(std::uint64_t op_id, PendingOp& op);
   /// Whether the replies in hand form a quorum: the full drawn set answered,
   /// or footprint-many distinct replicas did (counting intersection). On the
@@ -288,8 +332,8 @@ class Proxy {
   void handle_write_reply(const sim::NodeId& from,
                           const kv::StorageWriteResp&);
   void handle_nack(const kv::EpochNack&);
-  void maybe_complete_read(std::uint64_t op_id);
-  void retry_op(std::uint64_t op_id);
+  void maybe_complete_read(std::uint64_t op_id, PendingOp& op);
+  void retry_op(std::uint64_t op_id, PendingOp& op);
 
   // ----------------------------------------------------------- span layer
   /// Opens the op's trace + queue span at client arrival (zero context when
@@ -364,10 +408,25 @@ class Proxy {
   sim::NodeId drain_reply_to_;
   obs::SpanContext drain_span_;  // child of the RM's NEWQ span
 
-  // In-flight operations, ordered by op id: the NEWQ drain walks this table,
-  // so iteration must follow issue order, not hash order.
-  std::map<std::uint64_t, PendingOp> ops_;
+  // In-flight operations. Each occupies a slot of op_slab_ at a stable
+  // address (handlers hold a PendingOp& across calls that issue other ops);
+  // finished slots are recycled through free_ops_, so the slab grows only
+  // past its high-water mark of in-flight ops.
+  std::deque<PendingOp> op_slab_;
+  std::vector<PendingOp*> free_ops_;
+  // Live ops by op id, ascending. Ids are issued in increasing order, so a
+  // new or re-keyed op appends at the tail; the deadline scan, the NEWQ
+  // drain and crash() walk this index, visiting ops in issue order.
+  struct LiveOp {
+    std::uint64_t id;
+    PendingOp* op;
+  };
+  std::vector<LiveOp> live_ops_;
+  /// First index entry whose id is not below `op_id`.
+  std::vector<LiveOp>::iterator live_position(std::uint64_t op_id);
   std::uint64_t next_op_id_ = 1;
+  // Scratch for reordering an explicit strategy's replica list.
+  std::vector<std::uint32_t> order_scratch_;
   // The one armed deadline event: its instant (kNoDeadline when none is
   // armed) and generation. Re-arming earlier or crashing bumps the
   // generation, which turns the superseded event into a no-op.

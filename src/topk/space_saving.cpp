@@ -10,7 +10,7 @@ SpaceSaving::SpaceSaving(std::size_t capacity)
     : capacity_(capacity ? capacity : 1) {
   slots_.reserve(capacity_);
   heap_.reserve(capacity_);
-  index_.reserve(capacity_ * 2);
+  index_.reserve(capacity_);
 }
 
 bool SpaceSaving::heap_less(std::size_t a, std::size_t b) const {
@@ -51,17 +51,19 @@ void SpaceSaving::sift_down(std::size_t i) {
 
 void SpaceSaving::add(std::uint64_t key, std::uint64_t increment) {
   stream_length_ += increment;
-  if (auto it = index_.find(key); it != index_.end()) {
-    Slot& slot = slots_[it->second];
+  if (const std::size_t* slot_idx = index_.find(key)) {
+    Slot& slot = slots_[*slot_idx];
     slot.count += increment;
     sift_down(slot.heap_pos);
     return;
   }
   if (slots_.size() < capacity_) {
     const std::size_t slot_idx = slots_.size();
+    // qopt-perf: allow(vector-growth-hot) the constructor reserved capacity_
     slots_.push_back(Slot{key, increment, 0, heap_.size()});
+    // qopt-perf: allow(vector-growth-hot) the constructor reserved capacity_
     heap_.push_back(slot_idx);
-    index_.emplace(key, slot_idx);
+    index_.try_emplace(key, slot_idx);
     sift_up(slots_[slot_idx].heap_pos);
     return;
   }
@@ -70,7 +72,7 @@ void SpaceSaving::add(std::uint64_t key, std::uint64_t increment) {
   const std::size_t victim_idx = heap_[0];
   Slot& victim = slots_[victim_idx];
   index_.erase(victim.key);
-  index_.emplace(key, victim_idx);
+  index_.try_emplace(key, victim_idx);
   victim.error = victim.count;
   victim.count += increment;
   victim.key = key;
@@ -93,15 +95,15 @@ std::vector<TopKEntry> SpaceSaving::top(std::size_t k) const {
 }
 
 std::uint64_t SpaceSaving::estimate(std::uint64_t key) const {
-  auto it = index_.find(key);
-  return it == index_.end() ? 0 : slots_[it->second].count;
+  const std::size_t* slot_idx = index_.find(key);
+  return slot_idx == nullptr ? 0 : slots_[*slot_idx].count;
 }
 
 bool SpaceSaving::guaranteed_above(std::uint64_t key,
                                    std::uint64_t threshold) const {
-  auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  const Slot& slot = slots_[it->second];
+  const std::size_t* slot_idx = index_.find(key);
+  if (slot_idx == nullptr) return false;
+  const Slot& slot = slots_[*slot_idx];
   return slot.count - slot.error > threshold;
 }
 
@@ -145,7 +147,7 @@ void SpaceSaving::merge(const SpaceSaving& other) {
     }
   }
   for (auto& [key, entry] : merged) {
-    if (other.index_.find(key) == other.index_.end() && other_min > 0) {
+    if (!other.index_.contains(key) && other_min > 0) {
       entry.count += other_min;
       entry.error += other_min;
     }
@@ -168,7 +170,7 @@ void SpaceSaving::merge(const SpaceSaving& other) {
     const std::size_t slot_idx = slots_.size();
     slots_.push_back(Slot{entry.key, entry.count, entry.error, heap_.size()});
     heap_.push_back(slot_idx);
-    index_.emplace(entry.key, slot_idx);
+    index_.try_emplace(entry.key, slot_idx);
     sift_up(slots_[slot_idx].heap_pos);
   }
 }

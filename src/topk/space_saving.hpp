@@ -14,8 +14,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
+
+#include "util/flat_table.hpp"
 
 namespace qopt::topk {
 
@@ -70,7 +71,10 @@ class SpaceSaving {
   std::size_t capacity_;
   std::vector<Slot> slots_;
   std::vector<std::size_t> heap_;  // heap of slot indices
-  std::unordered_map<std::uint64_t, std::size_t> index_;  // key -> slot
+  // key -> slot. Sized for `capacity` keys up front: at capacity nearly
+  // every add of a cold key evicts, one erase plus one insert, neither of
+  // which allocates.
+  FlatTable<std::size_t> index_;
   std::uint64_t stream_length_ = 0;
 };
 

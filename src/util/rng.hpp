@@ -14,10 +14,19 @@
 namespace qopt {
 
 /// splitmix64 step; used for seeding and as a cheap stateless hash.
-std::uint64_t splitmix64(std::uint64_t& state) noexcept;
+constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
 
-/// Stateless 64-bit mix (one splitmix64 round applied to `x`).
-std::uint64_t mix64(std::uint64_t x) noexcept;
+/// Stateless 64-bit mix (one splitmix64 round applied to `x`). Inline:
+/// replica placement hashes every (object, node) pair once per operation.
+constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
+  std::uint64_t s = x;
+  return splitmix64(s);
+}
 
 /// xoshiro256** engine with convenience distributions.
 class Rng {

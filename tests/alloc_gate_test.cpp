@@ -1,10 +1,8 @@
 // Dynamic complement to the qopt_perf static linter: a counting global
 // operator new hook runs a steady-state cluster workload and asserts the
-// engine's per-event allocation count stays under an explicit budget.
-// The static rules catch patterns; this gate catches what they cannot see
-// (allocations behind aliases, library internals, growth that never
-// plateaus). The budget is amortized per simulator event over a long
-// window, so one-off warm-up growth does not dominate.
+// exact number of heap allocations it makes. The static rules catch
+// patterns; this gate catches what they cannot see (allocations behind
+// aliases, library internals, growth that never plateaus).
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -49,8 +47,11 @@ namespace {
 
 TEST(AllocGateTest, SteadyStateStaysWithinPerEventBudget) {
   qopt::ClusterConfig config;
-  // The gate measures the engine, not the test harness: the consistency
-  // checker's history log grows per operation by design and span tracing
+  // The gate measures the engine, not the test harness. The consistency
+  // checker stays off: its per-client observation tables grow (by
+  // doubling) whenever a client first touches a key, which in this window
+  // is 55 allocations. They amortize to nothing per operation, but the
+  // count depends on which keys the clients happen to reach. Span tracing
   // is off by default.
   config.check_consistency = false;
   config.seed = 7;
@@ -58,8 +59,8 @@ TEST(AllocGateTest, SteadyStateStaysWithinPerEventBudget) {
   cluster.preload(1024, 4096);
   cluster.set_workload(qopt::workload::ycsb_b(1024));
 
-  // Warm-up: dedup windows, vector capacities, metrics reservoirs, and the
-  // placement scratch all reach their steady-state footprint.
+  // Warm-up: dedup windows, pending-op slots, vector capacities and the
+  // metrics reservoirs all reach their steady-state footprint.
   cluster.run_for(qopt::seconds(2));
 
   const std::uint64_t events_before = cluster.simulator().events_processed();
@@ -73,24 +74,20 @@ TEST(AllocGateTest, SteadyStateStaysWithinPerEventBudget) {
   const std::uint64_t allocs = g_alloc_count.load();
   ASSERT_GT(events, 10'000u) << "workload did not reach steady state";
 
-  // Budget: at most 0.4 heap allocations per simulated event, amortized.
-  // Today's engine measures ~0.29. Every event's closure lives inline in a
-  // simulator slot and every message in the network's in-flight slab, so
-  // neither scheduling nor delivery allocates; what remains is per-operation
-  // bookkeeping in the components (the proxy's pending-op map node and its
-  // per-op replica vectors, storage's applied-write set). The bound leaves
-  // jitter headroom but a reintroduced per-message or per-event allocation
-  // — a boxed callable, container churn, per-event formatting — fails the
-  // gate.
-  const double per_event =
-      static_cast<double>(allocs) / static_cast<double>(events);
-  RecordProperty("allocs_per_event", std::to_string(per_event));
-  std::printf("[alloc-gate] %llu allocations / %llu events = %.3f per event\n",
+  // Exactly one allocation in the whole window, and it is not per event:
+  // run_for sizes the metrics throughput timeline for the 8 s it is about
+  // to simulate (one 100 ms bucket each) before the first event runs.
+  // Every simulated event after that allocates nothing: closures live
+  // inline in simulator slots, messages in the network's in-flight slab,
+  // pending ops in recycled proxy slots, and storage versions, dedup
+  // windows and the Space-Saving index in flat tables sized up front. Any
+  // per-operation allocation adds thousands to this count.
+  RecordProperty("allocations", std::to_string(allocs));
+  std::printf("[alloc-gate] %llu allocations / %llu events\n",
               static_cast<unsigned long long>(allocs),
-              static_cast<unsigned long long>(events), per_event);
-  EXPECT_LE(per_event, 0.4)
-      << allocs << " allocations over " << events << " events ("
-      << per_event << " per event)";
+              static_cast<unsigned long long>(events));
+  EXPECT_EQ(allocs, 1u) << allocs << " allocations over " << events
+                        << " events";
 }
 
 TEST(AllocGateTest, InlineEventsScheduleAndRunWithoutAllocating) {

@@ -10,6 +10,7 @@
 #include "kv/storage_node.hpp"
 #include "kv/types.hpp"
 #include "kv/wire.hpp"
+#include "obs/registry.hpp"
 #include "sim/ids.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
@@ -353,6 +354,91 @@ TEST_F(StorageFixture, PreloadBypassesProtocol) {
   const auto& resp = std::get<StorageReadResp>(proxy_inbox.at(0));
   EXPECT_TRUE(resp.found);
   EXPECT_EQ(resp.version.value, 77u);
+}
+
+// ------------------------------------------------ storage write dedup window
+//
+// Storage acknowledges a write whose apply already ran without applying it
+// again, for the 4096 largest op ids per proxy (docs/ROBUSTNESS.md,
+// "Storage dedup"). These tests pin that rule through the node's counters.
+
+struct DedupWindowFixture : StorageFixture {
+  static constexpr std::uint64_t kWindow = 4096;
+
+  std::uint64_t counter(const char* field) const {
+    return node->observability().registry().counter_value(
+        obs::instrument_name("storage", 0, field));
+  }
+
+  /// Delivers write `op_id` (always the same version of object 7) and runs
+  /// until it is acknowledged.
+  void write(std::uint64_t op_id) {
+    Version v;
+    v.ts = {100, 0, 1};
+    v.value = 1;
+    send(StorageWriteReq{7, op_id, 0, v, {}});
+    sim.run();
+  }
+
+  /// Re-delivers `op_id`: true when the window answered it (a dedup ack
+  /// with no service), false when it was applied again (the timestamp rule
+  /// then discards the equal version).
+  bool deduped(std::uint64_t op_id) {
+    const std::uint64_t dups = counter("dup_writes_ignored");
+    const std::uint64_t served =
+        counter("writes_applied") + counter("writes_discarded");
+    const std::size_t acks = proxy_inbox.size();
+    write(op_id);
+    EXPECT_EQ(proxy_inbox.size(), acks + 1) << "op " << op_id << " unacked";
+    const bool dedup = counter("dup_writes_ignored") == dups + 1;
+    const bool served_again =
+        counter("writes_applied") + counter("writes_discarded") == served + 1;
+    EXPECT_NE(dedup, served_again) << "op " << op_id;
+    return dedup;
+  }
+};
+
+TEST_F(DedupWindowFixture, RedeliveryInsideTheWindowIsNotReapplied) {
+  for (std::uint64_t id = 1; id <= 10; ++id) write(id);
+  EXPECT_TRUE(deduped(5));
+  EXPECT_TRUE(deduped(1));
+  EXPECT_TRUE(deduped(10));
+  EXPECT_EQ(counter("dup_writes_ignored"), 3u);
+  EXPECT_FALSE(deduped(11));  // never applied: served normally
+}
+
+TEST_F(DedupWindowFixture, IdIsEvictedOnceWindowManyLargerIdsComplete) {
+  write(1);
+  for (std::uint64_t id = 2; id <= kWindow; ++id) write(id);
+  // 4095 larger ids: the window still holds id 1.
+  EXPECT_TRUE(deduped(1));
+  write(kWindow + 1);  // the 4096th larger id evicts it
+  EXPECT_FALSE(deduped(1));
+  // Re-applied, but still below every id held: evicted again at once.
+  EXPECT_FALSE(deduped(1));
+  EXPECT_TRUE(deduped(2));
+  EXPECT_TRUE(deduped(kWindow + 1));
+}
+
+TEST_F(DedupWindowFixture, OutOfOrderCompletionsKeepTheLargestIds) {
+  // A large id completes before 4096 smaller ones: the window keeps the
+  // 4096 largest ids, not the 4096 most recent, so the large id stays and
+  // the smallest goes.
+  constexpr std::uint64_t kLarge = 100'000;
+  write(kLarge);
+  for (std::uint64_t id = 1; id <= kWindow; ++id) write(id);
+  EXPECT_TRUE(deduped(kLarge));
+  EXPECT_TRUE(deduped(2));
+  EXPECT_TRUE(deduped(kWindow));
+  EXPECT_FALSE(deduped(1));
+}
+
+TEST_F(DedupWindowFixture, CrashClearsTheWindow) {
+  for (std::uint64_t id = 1; id <= 3; ++id) write(id);
+  node->crash();
+  node->restart();
+  EXPECT_FALSE(deduped(2));  // volatile: re-applied after the restart
+  EXPECT_TRUE(deduped(2));
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 // the client / RM ends faked by capturing raw wire messages.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "kv/placement.hpp"
@@ -18,6 +20,7 @@
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
+#include "util/time.hpp"
 
 namespace qopt::proxy {
 namespace {
@@ -385,6 +388,126 @@ TEST_F(ProxyHarness, MonitoringRoundReportsStats) {
   EXPECT_GT(stats.throughput_ops, 0.0);
   // Candidate hotspots exclude the already-monitored object 7.
   for (const auto& candidate : stats.topk) EXPECT_NE(candidate.oid, 7u);
+}
+
+// ------------------------------------------------------------- op table
+
+TEST_F(ProxyHarness, DeadlineScanAndDrainFollowOpIdsAfterRecyclingAndRekey) {
+  // Pending ops live in recycled slots, so slot order and op-id order
+  // differ; the deadline scan and the NEWQ drain must still walk ops by id.
+  build({1, 5});
+  for (std::uint64_t r = 1; r <= 4; ++r) client_read(r, r);
+  sim.run();  // four ops complete: four slots back on the free list
+  ASSERT_EQ(client_inbox.size(), 4u);
+  ASSERT_EQ(proxy->pending_ops(), 0u);
+
+  // Storage goes silent: requests are recorded (arrival, op id), never
+  // answered, so the ops below stay pending.
+  std::vector<std::pair<Time, std::uint64_t>> sent;
+  for (std::uint32_t i = 0; i < kStorage; ++i) {
+    net.register_node(sim::storage_id(i),
+                      [&](const sim::NodeId&, const Message& m) {
+                        if (const auto* req =
+                                std::get_if<kv::StorageReadReq>(&m)) {
+                          sent.emplace_back(sim.now(), req->op_id);
+                        }
+                      });
+  }
+  // Op ids of the requests sent in one instant, in delivery order. They
+  // arrive 100us later, a nanosecond apart where they share a link (the
+  // network keeps each link FIFO).
+  const auto ids_sent_at = [&](Time at) {
+    std::vector<std::uint64_t> ids;
+    for (const auto& [when, id] : sent) {
+      const Duration after = when - at - microseconds(100);
+      const bool in_instant = after >= 0 && after < microseconds(1);
+      if (in_instant && (ids.empty() || ids.back() != id)) ids.push_back(id);
+    }
+    return ids;
+  };
+
+  client_read(10, 10);
+  client_read(11, 11);
+  sim.run(sim.now() + milliseconds(1));
+  ASSERT_EQ(sent.size(), 2u);  // R=1: one request each
+  const std::uint64_t nacked = sent[0].second;
+  const std::uint64_t early = sent[1].second;
+
+  // In one instant T: the NACK re-keys the first op (same slot, new id at
+  // the tail of the index) and two new reads launch from recycled slots.
+  // Client requests take 100us on the wire plus 60us of proxy CPU; the
+  // NACK takes 100us on the wire.
+  const Time t = sim.now() + milliseconds(1);
+  sim.run(t - microseconds(60));
+  client_read(12, 12);
+  client_read(13, 13);
+  sim.run(t);
+  net.send(sim::storage_id(0), sim::proxy_id(0),
+           kv::EpochNack{nacked, kv::FullConfig{}});
+  const Time launched = t + microseconds(100);
+  sim.run(launched + milliseconds(1));
+  EXPECT_EQ(proxy_metric("op_retries"), 1u);
+  const std::vector<std::uint64_t> relaunched = ids_sent_at(launched);
+  ASSERT_EQ(relaunched.size(), 3u);
+  EXPECT_TRUE(std::is_sorted(relaunched.begin(), relaunched.end()));
+  EXPECT_GT(relaunched.front(), early);
+  EXPECT_EQ(std::count(relaunched.begin(), relaunched.end(), nacked), 0);
+
+  // Their fallback deadlines are due together: one scan contacts the
+  // remaining replicas of all three, in op-id order.
+  const Time scan = launched + ProxyOptions{}.fallback_timeout;
+  sim.run(scan + milliseconds(1));
+  EXPECT_EQ(ids_sent_at(scan), relaunched);
+  EXPECT_EQ(proxy_metric("fallbacks"), 4u);
+
+  // The NEWQ drain counts exactly the four ops pending at its arrival; an
+  // op issued afterwards does not hold the acknowledgement back.
+  kv::QuorumChange same;
+  same.global = QuorumConfig::of(1, 5);
+  net.send(sim::rm_id(), sim::proxy_id(0),
+           kv::NewQuorumMsg{0, 1, std::move(same), {}});
+  sim.run(sim.now() + milliseconds(1));
+  client_read(14, 14);
+  sim.run(sim.now() + milliseconds(1));
+  ASSERT_EQ(proxy->pending_ops(), 5u);
+  const auto acked = [&] {
+    return std::any_of(rm_inbox.begin(), rm_inbox.end(), [](const Message& m) {
+      return std::holds_alternative<kv::AckNewQuorumMsg>(m);
+    });
+  };
+  std::vector<std::uint64_t> draining = {early};
+  draining.insert(draining.end(), relaunched.begin(), relaunched.end());
+  for (std::size_t i = 0; i < draining.size(); ++i) {
+    EXPECT_FALSE(acked()) << "ACKNEWQ before op " << draining[i] << " drained";
+    net.send(sim::storage_id(1), sim::proxy_id(0),
+             kv::StorageReadResp{draining[i], false, {}});
+    sim.run(sim.now() + milliseconds(1));
+  }
+  EXPECT_TRUE(acked());
+  EXPECT_EQ(proxy->pending_ops(), 1u);  // the read issued after the NEWQ
+
+  proxy->crash();
+  EXPECT_EQ(proxy->pending_ops(), 0u);
+}
+
+TEST_F(ProxyHarness, RecycledSlotsCarryTenThousandOpsWithoutGrowingTheSlab) {
+  build({3, 3});
+  const auto burst = [&](std::uint64_t round) {
+    // Four concurrent ops per round: two writes and two reads.
+    client_write(round % 50, 4 * round, round);
+    client_write(round % 50 + 50, 4 * round + 1, round);
+    client_read(round % 50, 4 * round + 2);
+    client_read(round % 50 + 100, 4 * round + 3);
+    sim.run();
+  };
+  burst(0);
+  const std::size_t slots = proxy->op_slots();
+  EXPECT_GE(slots, 1u);
+  EXPECT_LE(slots, 4u);
+  for (std::uint64_t round = 1; round < 2500; ++round) burst(round);
+  EXPECT_EQ(client_inbox.size(), 10'000u);
+  EXPECT_EQ(proxy->pending_ops(), 0u);
+  EXPECT_EQ(proxy->op_slots(), slots);
 }
 
 }  // namespace

@@ -183,6 +183,20 @@ TEST(QoptPerfRules, MapChurnFixtureFlagsChurnAndLocalConstruction) {
   EXPECT_TRUE(has_finding(findings, "map-churn-hot", 14));  // local set
 }
 
+TEST(QoptPerfRules, MapChurnTreatsUnorderedContainersAsNodeContainers) {
+  const auto findings =
+      analyze_fixture("unordered_churn.fixture", "hot/unordered_churn.cpp");
+  const auto counts = count_by_rule(findings);
+  // operator[], try_emplace, insert, erase, and the local unordered_multiset;
+  // the find() lookup is not churn.
+  EXPECT_EQ(counts.at("map-churn-hot"), 5) << describe(findings);
+  EXPECT_EQ(counts.size(), 1u) << describe(findings);
+  for (std::size_t line : {11u, 12u, 13u, 14u, 15u}) {
+    EXPECT_TRUE(has_finding(findings, "map-churn-hot", line)) << line;
+  }
+  EXPECT_FALSE(has_finding(findings, "map-churn-hot", 16));  // find()
+}
+
 TEST(QoptPerfRules, MapChurnGoodFixtureIsSilent) {
   const auto findings =
       analyze_fixture("map_churn_good.fixture", "hot/map_churn_good.cpp");

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "topk/space_saving.hpp"
+#include "util/flat_table.hpp"
 #include "util/rng.hpp"
 #include "workload/workload.hpp"
 
@@ -184,6 +185,50 @@ TEST(SpaceSavingTest, DeterministicTieBreakByKey) {
   EXPECT_EQ(top[0].key, 2u);
   EXPECT_EQ(top[1].key, 5u);
   EXPECT_EQ(top[2].key, 9u);
+}
+
+TEST(SpaceSavingTest, EvictionChurnOnCollidingKeysKeepsTheBounds) {
+  // Every key shares its home slot in the summary's key index (the top 12
+  // hash bits agree), so each eviction's erase and insert churn one long
+  // probe run. The Space-Saving guarantees must still hold against exact
+  // counts: count - error <= true count <= count for every monitored key,
+  // errors stay below stream_length / capacity, every key more frequent
+  // than that is monitored, and the counts sum to the stream length.
+  constexpr std::size_t kCapacity = 16;
+  std::vector<std::uint64_t> keys;
+  const std::uint64_t home = flat_hash(0) >> 52;
+  for (std::uint64_t key = 0; keys.size() < 200; ++key) {
+    if (flat_hash(key) >> 52 == home) keys.push_back(key);
+  }
+  SpaceSaving summary(kCapacity);
+  std::map<std::uint64_t, std::uint64_t> truth;
+  Rng rng(5);
+  workload::ZipfianKeys zipf(keys.size(), 0.9, /*scramble=*/false);
+  for (int i = 0; i < 50'000; ++i) {
+    const std::uint64_t sampled = keys[zipf.sample(rng)];
+    summary.add(sampled);
+    ++truth[sampled];
+
+    if (i % 997 != 0) continue;
+    const std::uint64_t n = summary.stream_length();
+    const auto top = summary.top(kCapacity);
+    ASSERT_EQ(top.size(), std::min(kCapacity, truth.size()));
+    std::uint64_t sum = 0;
+    for (const TopKEntry& entry : top) {
+      const std::uint64_t exact = truth[entry.key];
+      EXPECT_LE(entry.count - entry.error, exact) << entry.key;
+      EXPECT_GE(entry.count, exact) << entry.key;
+      EXPECT_LE(entry.error * kCapacity, n) << entry.key;
+      EXPECT_EQ(summary.estimate(entry.key), entry.count) << entry.key;
+      sum += entry.count;
+    }
+    EXPECT_EQ(sum, n);
+    for (const auto& [key, exact] : truth) {
+      if (exact * kCapacity > n) {
+        EXPECT_GT(summary.estimate(key), 0u) << "frequent key " << key;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <vector>
 
+#include "util/flat_table.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -295,6 +298,138 @@ TEST(HistogramTest, ValuesBelowFloorClampToFirstBucket) {
   hist.record(50.0);
   EXPECT_EQ(hist.count(), 2u);
   EXPECT_LE(hist.percentile(99), 100.0);
+}
+
+// ------------------------------------------------------------- flat table
+
+/// `count` keys whose home slot is `home` in a table of 2^bits slots: the
+/// table takes the top `bits` bits of flat_hash(key) as the home slot.
+std::vector<std::uint64_t> keys_with_home(std::uint64_t home, int bits,
+                                          std::size_t count) {
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t key = 0; keys.size() < count; ++key) {
+    if (flat_hash(key) >> (64 - bits) == home) keys.push_back(key);
+  }
+  return keys;
+}
+
+TEST(FlatTableTest, InsertFindAndUpdate) {
+  FlatTable<std::uint64_t> table;
+  EXPECT_TRUE(table.empty());
+  EXPECT_EQ(table.find(7), nullptr);
+  EXPECT_FALSE(table.erase(7));
+
+  auto [value, inserted] = table.try_emplace(7, 70);
+  ASSERT_TRUE(inserted);
+  EXPECT_EQ(*value, 70u);
+  auto [present, inserted_again] = table.try_emplace(7, 71);
+  EXPECT_FALSE(inserted_again);  // the stored value is kept
+  EXPECT_EQ(*present, 70u);
+  *present = 72;  // updates go through the returned pointer
+  EXPECT_EQ(*table.find(7), 72u);
+
+  table.insert_or_assign(7, 73);
+  table.insert_or_assign(0, 5);  // 0 is an ordinary key
+  EXPECT_EQ(*table.find(7), 73u);
+  EXPECT_EQ(*table.find(0), 5u);
+  EXPECT_TRUE(table.contains(0));
+  EXPECT_FALSE(table.contains(8));
+  EXPECT_EQ(table.size(), 2u);
+}
+
+TEST(FlatTableTest, GrowthPreservesEveryEntry) {
+  FlatTable<std::uint64_t> table;
+  std::size_t capacity = 0;
+  int growths = 0;
+  for (std::uint64_t i = 0; i < 10'000; ++i) {
+    table.try_emplace(i * 3, i);
+    if (table.capacity() != capacity) {
+      ++growths;
+      capacity = table.capacity();
+      EXPECT_EQ(capacity & (capacity - 1), 0u) << "not a power of two";
+    }
+    EXPECT_LE(table.size() * 8, table.capacity() * 7);  // load <= 7/8
+  }
+  EXPECT_GE(growths, 10);
+  ASSERT_EQ(table.size(), 10'000u);
+  for (std::uint64_t i = 0; i < 10'000; ++i) {
+    const std::uint64_t* value = table.find(i * 3);
+    ASSERT_NE(value, nullptr) << i;
+    EXPECT_EQ(*value, i);
+    EXPECT_FALSE(table.contains(i * 3 + 1));
+  }
+}
+
+TEST(FlatTableTest, ReserveSizesOnceAndNeverShrinks) {
+  FlatTable<std::uint64_t> table;
+  table.reserve(1000);
+  const std::size_t capacity = table.capacity();
+  EXPECT_EQ(capacity, 2048u);  // 1024 slots would exceed the 7/8 load
+  for (std::uint64_t key = 0; key < 1000; ++key) table.try_emplace(key, key);
+  EXPECT_EQ(table.capacity(), capacity);
+  table.reserve(10);
+  table.clear();
+  EXPECT_TRUE(table.empty());
+  EXPECT_EQ(table.capacity(), capacity);
+  EXPECT_FALSE(table.contains(5));
+}
+
+TEST(FlatTableTest, BackwardShiftEraseUnderForcedCollisions) {
+  // 56 keys in a 64-slot table, 14 homed at each of slots 62, 63, 0 and 1:
+  // one probe run that wraps past the end of the array and mixes homes, so
+  // erase must shift an entry back only when the hole does not precede its
+  // home. Random churn is checked against a reference map after every step.
+  constexpr int kBits = 6;
+  std::vector<std::uint64_t> pool;
+  for (std::uint64_t home : {62u, 63u, 0u, 1u}) {
+    const std::vector<std::uint64_t> keys = keys_with_home(home, kBits, 14);
+    pool.insert(pool.end(), keys.begin(), keys.end());
+  }
+  FlatTable<std::uint64_t> table;
+  table.reserve(pool.size());
+  ASSERT_EQ(table.capacity(), std::size_t{1} << kBits);
+  std::map<std::uint64_t, std::uint64_t> reference;
+  Rng rng(11);
+  for (std::uint64_t step = 0; step < 20'000; ++step) {
+    const std::uint64_t key = pool[rng.next_below(pool.size())];
+    if (rng.chance(0.5)) {
+      table.insert_or_assign(key, step);
+      reference[key] = step;
+    } else {
+      EXPECT_EQ(table.erase(key), reference.erase(key) == 1);
+    }
+    ASSERT_EQ(table.size(), reference.size());
+    for (std::uint64_t probe : pool) {
+      const std::uint64_t* value = table.find(probe);
+      const auto it = reference.find(probe);
+      if (it == reference.end()) {
+        ASSERT_EQ(value, nullptr) << "step " << step << " key " << probe;
+      } else {
+        ASSERT_NE(value, nullptr) << "step " << step << " key " << probe;
+        ASSERT_EQ(*value, it->second);
+      }
+    }
+  }
+  EXPECT_EQ(table.capacity(), std::size_t{1} << kBits);  // never grew
+}
+
+TEST(FlatTableTest, ForEachVisitsEachLiveEntryOnce) {
+  FlatTable<std::uint64_t> table;
+  for (std::uint64_t key = 1; key <= 1000; ++key) table.try_emplace(key, key);
+  for (std::uint64_t key = 1; key <= 1000; key += 3) table.erase(key);
+  std::map<std::uint64_t, int> visits;
+  table.for_each([&](std::uint64_t key, std::uint64_t value) {
+    EXPECT_EQ(key, value);
+    ++visits[key];
+  });
+  EXPECT_EQ(visits.size(), table.size());
+  for (std::uint64_t key = 1; key <= 1000; ++key) {
+    const bool live = (key - 1) % 3 != 0;
+    EXPECT_EQ(visits.count(key), live ? 1u : 0u) << key;
+    if (live) {
+      EXPECT_EQ(visits[key], 1) << key;
+    }
+  }
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstddef>
 #include <filesystem>
@@ -334,11 +335,26 @@ void check_heap_alloc(const Context& ctx) {
   }
 }
 
-/// Names declared with an ordered node-container type — variables, data
-/// members, and functions returning (references to) them.
+/// Node-based containers: every element lives in its own heap node, so
+/// inserting allocates and erasing frees. The unordered containers are node
+/// containers too (one node per element, plus a bucket array that rehashes
+/// as they grow).
+constexpr std::array<const char*, 8> kNodeContainers = {
+    "map",
+    "set",
+    "multimap",
+    "multiset",
+    "unordered_map",
+    "unordered_set",
+    "unordered_multimap",
+    "unordered_multiset",
+};
+
+/// Names declared with a node-container type — variables, data members,
+/// and functions returning (references to) them.
 void collect_node_container_names(const std::string& stripped,
                                   std::set<std::string>& names) {
-  for (const char* token : {"map", "set", "multimap", "multiset"}) {
+  for (const char* token : kNodeContainers) {
     for_each_token(stripped, token, [&](std::size_t pos) {
       std::size_t after = skip_ws(stripped, pos + std::string(token).size());
       if (after >= stripped.size() || stripped[after] != '<') return;
@@ -387,9 +403,9 @@ void check_map_churn(const Context& ctx) {
     });
   }
 
-  // A std::map/std::set constructed inside a hot function body is churn by
+  // A node container constructed inside a hot function body is churn by
   // construction (one node allocation per element, every event).
-  for (const char* token : {"map", "set", "multimap", "multiset"}) {
+  for (const char* token : kNodeContainers) {
     for_each_token(text, token, [&](std::size_t pos) {
       const std::size_t lineno = line_of_offset(text, pos);
       if (!ctx.hot_line(lineno)) return;
