@@ -51,7 +51,8 @@ ScalePoint run_scale(std::uint32_t proxies, std::uint32_t storage,
     point.tput_static = tput;
   }
   point.control_msgs_per_op =
-      static_cast<double>(cluster.network_stats().messages_sent) /
+      static_cast<double>(
+          cluster.obs().registry().counter_value("net.messages_sent")) /
       static_cast<double>(cluster.metrics().total_ops());
   return point;
 }

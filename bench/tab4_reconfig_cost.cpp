@@ -45,7 +45,8 @@ CostRow run_scenario(const char* name, bool loaded,
       loaded ? cluster.metrics().throughput(cluster.now() - seconds(3),
                                             cluster.now())
              : 0;
-  const auto msg_before = cluster.network_stats().messages_sent;
+  const auto& reg = cluster.obs().registry();
+  const auto msg_before = reg.counter_value("net.messages_sent");
   const Time t0 = cluster.now();
   for (int i = 0; i < reconfigs; ++i) {
     reconfigure(cluster, i);
@@ -55,7 +56,6 @@ CostRow run_scenario(const char* name, bool loaded,
 
   CostRow row;
   row.name = name;
-  const auto& reg = cluster.obs().registry();
   row.avg_ms =
       static_cast<double>(reg.counter_value("rm.reconfig_time_ns")) / 1e6 /
       static_cast<double>(reg.counter_value("rm.reconfigurations_completed"));
@@ -63,7 +63,8 @@ CostRow run_scenario(const char* name, bool loaded,
   // message in the window is protocol traffic; under load we report the
   // total delta for context.
   row.messages =
-      static_cast<double>(cluster.network_stats().messages_sent - msg_before) /
+      static_cast<double>(reg.counter_value("net.messages_sent") -
+                          msg_before) /
       static_cast<double>(reconfigs);
   row.epoch_changes = reg.counter_value("rm.epoch_changes");
   if (loaded && steady > 0) {

@@ -95,7 +95,8 @@ void partition_degradation() {
               after, before > 0 ? 100.0 * after / before : 0.0);
   std::printf("  partition drops       %10llu messages\n",
               static_cast<unsigned long long>(
-                  cluster.network_stats().dropped_partitioned));
+                  cluster.obs().registry().counter_value(
+                      "net.dropped.partitioned")));
   std::printf("  consistency           %10s\n",
               cluster.checker().clean() ? "clean" : "VIOLATED");
 }

@@ -38,7 +38,7 @@ AutonomicManager::AutonomicManager(sim::Simulator& sim, Net& net,
                                    std::vector<sim::NodeId> proxies,
                                    int replication,
                                    const AutonomicOptions& options,
-                                   obs::Observability* obs)
+                                   obs::Observability& obs)
     : sim_(sim),
       net_(net),
       self_(self),
@@ -48,19 +48,15 @@ AutonomicManager::AutonomicManager(sim::Simulator& sim, Net& net,
       proxies_(std::move(proxies)),
       replication_(replication),
       options_(options),
-      steady_baseline_(4) {
+      steady_baseline_(4),
+      obs_(obs) {
   strategy_opt_ = dynamic_cast<oracle::StrategyOptimizer*>(&oracle_);
   fd_.subscribe([this](const sim::NodeId& node, bool suspected) {
     if (node.kind == sim::NodeKind::kProxy && suspected && gathering_) {
       maybe_process_round();
     }
   });
-  if (!obs) {
-    own_obs_ = std::make_unique<obs::Observability>();
-    obs = own_obs_.get();
-  }
-  obs_ = obs;
-  auto& reg = obs_->registry();
+  auto& reg = obs_.registry();
   ins_.rounds = &reg.counter("am.rounds");
   ins_.fine_grain_reconfigs = &reg.counter("am.fine_grain_reconfigs");
   ins_.objects_tuned = &reg.counter("am.objects_tuned");
@@ -88,7 +84,7 @@ void AutonomicManager::stop() {
 
 void AutonomicManager::emit(const std::string& what) {
   if (on_event_) on_event_(sim_.now(), what);
-  obs_->spans().instant(obs::Category::kAutonomic, "am_event", "am",
+  obs_.spans().instant(obs::Category::kAutonomic, "am_event", "am",
                         sim_.now(), round_, 0, what);
 }
 

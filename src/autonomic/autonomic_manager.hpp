@@ -25,7 +25,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -78,14 +77,14 @@ class AutonomicManager {
   /// Observer for adaptation traces: (virtual time, description).
   using EventCallback = std::function<void(Time, const std::string&)>;
 
-  /// `obs` is the cluster-wide observability bundle; when null the AM
-  /// allocates a private one (stand-alone component tests).
+  /// `obs` is the deployment's observability bundle; it must outlive the
+  /// AM.
   AutonomicManager(sim::Simulator& sim, Net& net, sim::NodeId self,
                    sim::FailureDetector& fd,
                    reconfig::ReplicatedRm& rm, oracle::Oracle& oracle,
                    std::vector<sim::NodeId> proxies, int replication,
                    const AutonomicOptions& options,
-                   obs::Observability* obs = nullptr);
+                   obs::Observability& obs);
 
   /// Starts the optimization loop (round 1 begins immediately).
   void start();
@@ -95,9 +94,6 @@ class AutonomicManager {
   void on_message(const sim::NodeId& from, const kv::Message& msg);
   void set_event_callback(EventCallback cb) { on_event_ = std::move(cb); }
 
-  /// Observability bundle in use (the shared one, or the private fallback).
-  obs::Observability& observability() noexcept { return *obs_; }
-  const obs::Observability& observability() const noexcept { return *obs_; }
   bool converged() const noexcept { return mode_ == Mode::kSteady; }
   std::uint64_t round() const noexcept { return round_; }
   double last_kpi() const noexcept { return last_kpi_; }
@@ -189,8 +185,7 @@ class AutonomicManager {
   TrendPredictor kpi_trend_;
 
   // Observability: counters cached at construction, bumped on the hot path.
-  std::unique_ptr<obs::Observability> own_obs_;  // fallback when none shared
-  obs::Observability* obs_ = nullptr;
+  obs::Observability& obs_;
   struct Instruments {
     obs::Counter* rounds = nullptr;
     obs::Counter* fine_grain_reconfigs = nullptr;

@@ -14,8 +14,9 @@ namespace qopt {
 
 Client::Client(sim::Simulator& sim, Net& net, sim::NodeId self,
                sim::NodeId proxy, Rng rng, Metrics* metrics,
-               ConsistencyChecker* checker, Duration think_time,
-               std::uint32_t num_proxies, Duration retry_timeout)
+               ConsistencyChecker* checker, obs::Observability& obs,
+               Duration think_time, std::uint32_t num_proxies,
+               Duration retry_timeout)
     : sim_(sim),
       net_(net),
       self_(self),
@@ -25,7 +26,8 @@ Client::Client(sim::Simulator& sim, Net& net, sim::NodeId self,
       checker_(checker),
       think_time_(think_time),
       num_proxies_(num_proxies ? num_proxies : 1),
-      retry_timeout_(retry_timeout) {}
+      retry_timeout_(retry_timeout),
+      obs_(obs) {}
 
 void Client::start() {
   if (running_ || !source_) return;

@@ -27,19 +27,17 @@ class Client {
 
   /// `retry_timeout` > 0 enables proxy failover: an operation unanswered
   /// for that long is re-issued (fresh request id) through the next proxy
-  /// in round-robin order — how SDS clients survive a proxy outage.
+  /// in round-robin order — how SDS clients survive a proxy outage. `obs`
+  /// lets the engine profiler attribute client-driven events (response
+  /// handling, think-time and retry timers); it must outlive the client.
   Client(sim::Simulator& sim, Net& net, sim::NodeId self, sim::NodeId proxy,
          Rng rng, Metrics* metrics, ConsistencyChecker* checker,
-         Duration think_time, std::uint32_t num_proxies = 1,
-         Duration retry_timeout = 0);
+         obs::Observability& obs, Duration think_time,
+         std::uint32_t num_proxies = 1, Duration retry_timeout = 0);
 
   void set_source(std::shared_ptr<workload::OperationSource> source) {
     source_ = std::move(source);
   }
-
-  /// Optional: lets the engine profiler attribute client-driven events
-  /// (response handling, think-time and retry timers). Null detaches.
-  void bind_observability(obs::Observability* obs) noexcept { obs_ = obs; }
 
   /// Begins the closed loop (no-op without a workload source).
   void start();
@@ -80,7 +78,7 @@ class Client {
   Duration think_time_;
   std::uint32_t num_proxies_;
   Duration retry_timeout_;
-  obs::Observability* obs_ = nullptr;
+  obs::Observability& obs_;
   std::uint64_t retries_ = 0;
   std::shared_ptr<workload::OperationSource> source_;
 

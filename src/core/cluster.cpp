@@ -74,7 +74,7 @@ Cluster::Cluster(const ClusterConfig& config)
     const sim::NodeId id = sim::storage_id(i);
     auto node = std::make_unique<kv::StorageNode>(
         sim_, net_, id, config_.storage_service, config_.storage_servers,
-        master_rng_.fork(0x5704A6E + i), &obs_);
+        master_rng_.fork(0x5704A6E + i), obs_);
     kv::StorageNode* raw = node.get();
     net_.register_node(id, [raw](const sim::NodeId& from,
                                  const kv::Message& msg) {
@@ -90,7 +90,7 @@ Cluster::Cluster(const ClusterConfig& config)
   for (std::uint32_t i = 0; i < config_.num_proxies; ++i) {
     const sim::NodeId id = sim::proxy_id(i);
     auto node = std::make_unique<proxy::Proxy>(sim_, net_, id, placement_,
-                                               proxy_options, &obs_);
+                                               proxy_options, obs_);
     proxy::Proxy* raw = node.get();
     net_.register_node(id, [raw](const sim::NodeId& from,
                                  const kv::Message& msg) {
@@ -169,10 +169,9 @@ Cluster::Cluster(const ClusterConfig& config)
     const sim::NodeId proxy = sim::proxy_id(i / config_.clients_per_proxy);
     auto client = std::make_unique<Client>(
         sim_, net_, id, proxy, master_rng_.fork(0xC11E47 + i), &metrics_,
-        config_.check_consistency ? &checker_ : nullptr,
+        config_.check_consistency ? &checker_ : nullptr, obs_,
         config_.client_think_time, config_.num_proxies,
         config_.client_retry_timeout);
-    client->bind_observability(&obs_);
     Client* raw = client.get();
     net_.register_node(id, [raw](const sim::NodeId& from,
                                  const kv::Message& msg) {
@@ -190,7 +189,7 @@ void Cluster::handle_rm_message(std::uint32_t replica,
   // The inbox of RM replica `replica`: heartbeats feed the failure
   // detector's watcher and never reach the protocol layer; everything else
   // is reconfiguration protocol traffic for the RM proper.
-  QOPT_PROFILE_SCOPE(&obs_, obs::ProfSubsystem::kRm);
+  QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kRm);
   if (std::holds_alternative<kv::HeartbeatMsg>(msg)) {
     if (heartbeat_watcher_) heartbeat_watcher_->beat(from);
     return;
@@ -297,7 +296,7 @@ void Cluster::enable_autotuning(const autonomic::AutonomicOptions& options,
   }
   am_ = std::make_unique<autonomic::AutonomicManager>(
       sim_, net_, sim::am_id(), fd_, *rrm_, *oracle_, proxy_ids,
-      config_.replication, options, &obs_);
+      config_.replication, options, obs_);
   net_.register_node(sim::am_id(), [this](const sim::NodeId& from,
                                           const kv::Message& msg) {
     am_->on_message(from, msg);
@@ -318,7 +317,7 @@ void Cluster::enable_anti_entropy(const kv::ReplicatorOptions& options) {
   nodes.reserve(storage_.size());
   for (auto& node : storage_) nodes.push_back(node.get());
   replicator_ = std::make_unique<kv::Replicator>(
-      sim_, placement_, std::move(nodes), options, &obs_);
+      sim_, placement_, std::move(nodes), options, obs_);
   replicator_->start();
 }
 
@@ -490,16 +489,16 @@ obs::RunReport Cluster::report(Time t0, Time t1) const {
   r.steady_reconfigs = reg.counter_value("am.steady_reconfigs");
   r.am_restarts = reg.counter_value("am.restarts");
 
-  const sim::NetworkStats& net = net_.stats();
-  r.messages_sent = net.messages_sent;
-  r.messages_delivered = net.messages_delivered;
-  r.dropped_sender_crashed = net.dropped_sender_crashed;
-  r.dropped_receiver_crashed = net.dropped_receiver_crashed;
-  r.dropped_unroutable = net.dropped_unroutable;
-  r.dropped_link_loss = net.dropped_link_loss;
-  r.dropped_partitioned = net.dropped_partitioned;
-  r.duplicates_delivered = net.duplicates_delivered;
-  r.delay_spikes = net.delay_spikes;
+  r.messages_sent = reg.counter_value("net.messages_sent");
+  r.messages_delivered = reg.counter_value("net.messages_delivered");
+  r.dropped_sender_crashed = reg.counter_value("net.dropped.sender_crashed");
+  r.dropped_receiver_crashed =
+      reg.counter_value("net.dropped.receiver_crashed");
+  r.dropped_unroutable = reg.counter_value("net.dropped.unroutable");
+  r.dropped_link_loss = reg.counter_value("net.dropped.link_loss");
+  r.dropped_partitioned = reg.counter_value("net.dropped.partitioned");
+  r.duplicates_delivered = reg.counter_value("net.duplicated");
+  r.delay_spikes = reg.counter_value("net.delay_spikes");
 
   r.reads_checked = checker_.reads_checked();
   r.consistency_violations = checker_.violations().size();

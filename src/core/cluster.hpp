@@ -244,7 +244,6 @@ class Cluster {
     return heartbeat_watcher_.get();
   }
   const ClusterConfig& config() const noexcept { return config_; }
-  const sim::NetworkStats& network_stats() const { return net_.stats(); }
   sim::Network<kv::Message>& network() noexcept { return net_; }
 
  private:

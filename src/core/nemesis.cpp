@@ -135,14 +135,12 @@ void Nemesis::fire() {
   const int n = cluster_.config().replication;
   switch (kind) {
     case 0: {
-      ++stats_.reconfigurations;
       ins_.reconfigurations->inc();
       const int w = pick_write_quorum();
       cluster_.reconfigure(kv::QuorumConfig::of(n - w + 1, w));
       break;
     }
     case 1: {
-      ++stats_.per_object_reconfigurations;
       ins_.per_object_reconfigurations->inc();
       std::vector<std::pair<kv::ObjectId, kv::QuorumConfig>> overrides;
       const std::uint64_t count = 1 + rng_.next_below(4);
@@ -155,7 +153,6 @@ void Nemesis::fire() {
       break;
     }
     case 2: {
-      ++stats_.false_suspicions;
       ins_.false_suspicions->inc();
       const auto victim = static_cast<std::uint32_t>(
           rng_.next_below(cluster_.config().num_proxies));
@@ -167,7 +164,6 @@ void Nemesis::fire() {
       break;
     }
     case 3: {
-      ++stats_.heartbeat_pauses;
       ins_.heartbeat_pauses->inc();
       const auto victim = static_cast<std::uint32_t>(
           rng_.next_below(cluster_.config().num_proxies));
@@ -192,7 +188,6 @@ void Nemesis::fire() {
       for (std::uint32_t i = 0; i < proxies; ++i) {
         const std::uint32_t candidate = (victim + i) % proxies;
         if (!cluster_.proxy(candidate).crashed()) {
-          ++stats_.proxy_crashes;
           ins_.proxy_crashes->inc();
           ++proxies_crashed_;
           cluster_.crash_proxy(candidate);
@@ -208,7 +203,6 @@ void Nemesis::fire() {
       for (std::uint32_t i = 0; i < storage; ++i) {
         const std::uint32_t candidate = (victim + i) % storage;
         if (!cluster_.storage(candidate).crashed()) {
-          ++stats_.storage_crashes;
           ins_.storage_crashes->inc();
           ++storage_crashed_;
           cluster_.crash_storage(candidate);
@@ -232,7 +226,6 @@ void Nemesis::fire() {
         }
       }
       if (!found) break;
-      ++stats_.partitions;
       ins_.partitions->inc();
       partition_active_ = true;
       const std::uint64_t id =
@@ -243,13 +236,11 @@ void Nemesis::fire() {
       cluster_.simulator().after(hold, [this, id] {
         cluster_.heal_partition(id);
         partition_active_ = false;
-        ++stats_.heals;
         ins_.heals->inc();
       });
       break;
     }
     case 7: {
-      ++stats_.loss_bursts;
       ins_.loss_bursts->inc();
       burst_active_ = true;
       cluster_.network().set_loss(options_.burst_loss);
@@ -266,7 +257,6 @@ void Nemesis::fire() {
     case 8: {
       // Recover the first crashed node (proxies first): exercises the
       // crash-recovery path — durable state, NACK resync, FD recovery.
-      ++stats_.restarts;
       ins_.restarts->inc();
       bool restarted = false;
       for (std::uint32_t i = 0; i < cluster_.config().num_proxies; ++i) {
@@ -292,7 +282,6 @@ void Nemesis::fire() {
       // Crash the current RM leader mid-whatever-it-is-doing; the next
       // caught-up replica resumes any in-flight round from the replicated
       // log. Restart after a bounded hold so the group regains full size.
-      ++stats_.rm_crashes;
       ins_.rm_crashes->inc();
       rm_fault_active_ = true;
       const std::uint32_t victim = cluster_.replicated_rm().leader();
@@ -310,7 +299,6 @@ void Nemesis::fire() {
       // Isolate the RM leader on both planes (kv and the replication
       // network): it keeps driving into the void until the group deposes
       // it, exercising the stale-leader guards. Heal after a bounded hold.
-      ++stats_.rm_partitions;
       ins_.rm_partitions->inc();
       rm_fault_active_ = true;
       const std::uint32_t victim = cluster_.replicated_rm().leader();

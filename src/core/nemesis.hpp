@@ -47,36 +47,12 @@ struct NemesisOptions {
   std::uint64_t seed = 1;
 };
 
-/// Legacy aggregate view; the authoritative instruments live in the shared
-/// `obs::MetricRegistry` under `nemesis.*`.
-struct NemesisStats {
-  std::uint64_t reconfigurations = 0;
-  std::uint64_t per_object_reconfigurations = 0;
-  std::uint64_t false_suspicions = 0;
-  std::uint64_t heartbeat_pauses = 0;
-  std::uint64_t proxy_crashes = 0;
-  std::uint64_t storage_crashes = 0;
-  std::uint64_t partitions = 0;
-  std::uint64_t heals = 0;  // partition heals (trails `partitions` by <= 1)
-  std::uint64_t loss_bursts = 0;
-  std::uint64_t restarts = 0;
-  std::uint64_t rm_crashes = 0;
-  std::uint64_t rm_partitions = 0;
-  std::uint64_t total() const {
-    return reconfigurations + per_object_reconfigurations +
-           false_suspicions + heartbeat_pauses + proxy_crashes +
-           storage_crashes + partitions + loss_bursts + restarts +
-           rm_crashes + rm_partitions;
-  }
-};
-
 class Nemesis {
  public:
   Nemesis(Cluster& cluster, const NemesisOptions& options);
 
   void start();
   void stop() noexcept { running_ = false; }
-  const NemesisStats& stats() const noexcept { return stats_; }
 
  private:
   void schedule_next();
@@ -86,7 +62,6 @@ class Nemesis {
   Cluster& cluster_;
   NemesisOptions options_;
   Rng rng_;
-  NemesisStats stats_;
   bool running_ = false;
   std::uint32_t proxies_crashed_ = 0;
   std::uint32_t storage_crashed_ = 0;
@@ -94,8 +69,9 @@ class Nemesis {
   bool burst_active_ = false;
   bool rm_fault_active_ = false;  // one RM outage at a time keeps a majority
 
-  // Mirrors of stats_ in the cluster's metric registry (`nemesis.*`), so
+  // Event counts live in the cluster's metric registry (`nemesis.*`), so
   // chaos schedules appear in RunReport snapshots alongside everything else.
+  // `heals` trails `partitions` by at most one.
   struct Instruments {
     obs::Counter* reconfigurations = nullptr;
     obs::Counter* per_object_reconfigurations = nullptr;

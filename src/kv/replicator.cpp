@@ -18,7 +18,7 @@ namespace qopt::kv {
 Replicator::Replicator(sim::Simulator& sim, const Placement& placement,
                        std::vector<StorageNode*> nodes,
                        const ReplicatorOptions& options,
-                       obs::Observability* obs)
+                       obs::Observability& obs)
     : sim_(sim), placement_(placement), nodes_(std::move(nodes)),
       options_(options), obs_(obs) {
   if (nodes_.empty()) throw std::invalid_argument("Replicator: no nodes");
@@ -75,11 +75,9 @@ void Replicator::sweep() {
 
   // One trace per sweep; each repair push is a child span covering the
   // write service time it induces on the receiving node.
-  const obs::SpanContext sweep_trace =
-      obs_ ? obs_->spans().start_trace(obs::TraceKind::kAntiEntropy,
-                                       "anti_entropy_sweep", "replicator",
-                                       sim_.now())
-           : obs::SpanContext{};
+  const obs::SpanContext sweep_trace = obs_.spans().start_trace(
+      obs::TraceKind::kAntiEntropy, "anti_entropy_sweep", "replicator",
+      sim_.now());
   Time sweep_end = sim_.now();
 
   // Push the freshest version to stale or missing replicas, throttled.
@@ -99,13 +97,13 @@ void Replicator::sweep() {
       if (stale) {
         obs::SpanContext push;
         if (sweep_trace.valid()) {
-          push = obs_->spans().open_span(
+          push = obs_.spans().open_span(
               sweep_trace, obs::Phase::kRepairPush, "repair_push",
               sim::to_string(sim::storage_id(replica)), sim_.now());
         }
         const Time done = node->replicate_in(oid, version);
         if (push.valid()) {
-          obs_->spans().close_span(push, done, oid, replica);
+          obs_.spans().close_span(push, done, oid, replica);
         }
         sweep_end = std::max(sweep_end, done);
         ++repairs;
@@ -114,7 +112,7 @@ void Replicator::sweep() {
     }
   }
 
-  if (sweep_trace.valid()) obs_->spans().end_trace(sweep_trace, sweep_end);
+  if (sweep_trace.valid()) obs_.spans().end_trace(sweep_trace, sweep_end);
 
   sim_.after(options_.interval, [this] { sweep(); });
 }

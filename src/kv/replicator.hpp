@@ -38,11 +38,11 @@ struct ReplicatorStats {
 
 class Replicator {
  public:
-  /// `obs` (optional) enables per-sweep anti-entropy traces: one root span
-  /// per sweep, one repair-push child per version pushed.
+  /// Sweeps record anti-entropy traces in `obs`: one root span per sweep,
+  /// one repair-push child per version pushed.
   Replicator(sim::Simulator& sim, const Placement& placement,
              std::vector<StorageNode*> nodes, const ReplicatorOptions& options,
-             obs::Observability* obs = nullptr);
+             obs::Observability& obs);
 
   void start();
   void stop() noexcept { running_ = false; }
@@ -59,7 +59,7 @@ class Replicator {
   ReplicatorOptions options_;
   ReplicatorStats stats_;
   bool running_ = false;
-  obs::Observability* obs_ = nullptr;  // nullable: spans off when absent
+  obs::Observability& obs_;
   /// Freshest-version table scratch, reused across sweeps so steady-state
   /// sweeps allocate nothing once the buffer has grown to the store size.
   std::vector<std::pair<ObjectId, Version>> freshest_scratch_;

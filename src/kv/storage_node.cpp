@@ -16,20 +16,16 @@ namespace qopt::kv {
 
 StorageNode::StorageNode(sim::Simulator& sim, Net& net, sim::NodeId self,
                          const ServiceTimes& service, std::size_t servers,
-                         Rng rng, obs::Observability* obs)
+                         Rng rng, obs::Observability& obs)
     : sim_(sim),
       net_(net),
       self_(self),
       service_(service),
       pool_(servers),
-      rng_(rng) {
-  if (!obs) {
-    own_obs_ = std::make_unique<obs::Observability>();
-    obs = own_obs_.get();
-  }
-  obs_ = obs;
+      rng_(rng),
+      obs_(obs) {
   node_name_ = sim::to_string(self_);
-  auto& reg = obs_->registry();
+  auto& reg = obs_.registry();
   const std::uint32_t i = self_.index;
   ins_.reads_served = &reg.counter(obs::instrument_name("storage", i,
                                                         "reads_served"));
@@ -104,7 +100,7 @@ void StorageNode::handle_read(const sim::NodeId& from,
     // Service interval is known up front, so the span opens and closes here
     // (no capture in the completion lambda): queueing + disk time attributed
     // to the originating op's trace.
-    obs::SpanStore& spans = obs_->spans();
+    obs::SpanStore& spans = obs_.spans();
     const obs::SpanContext s =
         spans.open_span(req.span, obs::Phase::kStorageRead, "storage_read",
                         node_name_, sim_.now());
@@ -197,7 +193,7 @@ void StorageNode::handle_write(const sim::NodeId& from,
   const Time done = pool_.submit(
       sim_.now(), service_.write_time(req.version.size_bytes, rng_));
   if (req.span.valid()) {
-    obs::SpanStore& spans = obs_->spans();
+    obs::SpanStore& spans = obs_.spans();
     const obs::SpanContext s =
         spans.open_span(req.span, obs::Phase::kStorageWrite, "storage_write",
                         node_name_, sim_.now());
@@ -267,7 +263,7 @@ void StorageNode::handle_new_epoch(const sim::NodeId& from,
       ins_.epoch_changes->inc();
       if (msg.span.valid()) {
         // Zero-duration adoption marker under the RM's epoch-change span.
-        obs::SpanStore& spans = obs_->spans();
+        obs::SpanStore& spans = obs_.spans();
         const obs::SpanContext s =
             spans.open_span(msg.span, obs::Phase::kStorageEpoch,
                             "storage_epoch", node_name_, sim_.now());

@@ -15,7 +15,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,11 +37,11 @@ class StorageNode {
  public:
   using Net = sim::Network<Message>;
 
-  /// `obs` is the cluster-wide observability bundle; when null the node
-  /// allocates a private one (stand-alone component tests).
+  /// `obs` is the deployment's observability bundle; it must outlive the
+  /// node.
   StorageNode(sim::Simulator& sim, Net& net, sim::NodeId self,
               const ServiceTimes& service, std::size_t servers, Rng rng,
-              obs::Observability* obs = nullptr);
+              obs::Observability& obs);
 
   /// Network message entry point (registered with the network by the
   /// cluster wiring).
@@ -58,9 +57,6 @@ class StorageNode {
 
   std::uint64_t epoch() const noexcept { return config_.epno; }
   const FullConfig& config() const noexcept { return config_; }
-  /// Observability bundle in use (the shared one, or the private fallback).
-  obs::Observability& observability() noexcept { return *obs_; }
-  const obs::Observability& observability() const noexcept { return *obs_; }
   const ServicePool& service_pool() const noexcept { return pool_; }
 
   /// Number of distinct objects stored (tests/diagnostics).
@@ -162,8 +158,7 @@ class StorageNode {
   AppliedWrites& applied_writes_for(std::uint32_t index);
 
   // Observability: counters cached at construction, bumped on the hot path.
-  std::unique_ptr<obs::Observability> own_obs_;  // fallback when none shared
-  obs::Observability* obs_ = nullptr;
+  obs::Observability& obs_;
   struct Instruments {
     obs::Counter* reads_served = nullptr;
     obs::Counter* writes_applied = nullptr;

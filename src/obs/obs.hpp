@@ -1,7 +1,7 @@
 // Observability bundle: one MetricRegistry + one SpanStore + one engine
 // profiler, shared by every component of a deployment. `qopt::Cluster` owns
 // one and threads it through the network, proxies, storage nodes, RM and AM;
-// stand-alone component tests construct their own and pass a pointer.
+// stand-alone component tests construct their own and pass it by reference.
 #pragma once
 
 #include "obs/profiler.hpp"

@@ -306,11 +306,11 @@ class EngineProfiler {
 /// is on, appending a wall-clock slice for Chrome-trace export.
 class ProfileScope {
  public:
-  ProfileScope(EngineProfiler* profiler, ProfSubsystem s) noexcept {
-    if (profiler == nullptr || !profiler->enabled()) return;
-    profiler->enter(s);
-    if (profiler->timeline_enabled()) {
-      profiler_ = profiler;
+  ProfileScope(EngineProfiler& profiler, ProfSubsystem s) noexcept {
+    if (!profiler.enabled()) return;
+    profiler.enter(s);
+    if (profiler.timeline_enabled()) {
+      profiler_ = &profiler;
       sub_ = s;
       begin_ns_ = detail::profiler_wall_ns();
     }
@@ -331,16 +331,15 @@ class ProfileScope {
 
 }  // namespace qopt::obs
 
-// Component-side claim: `obs_ptr` is the component's (nullable)
-// obs::Observability*; compiles to nothing under QOPT_PROFILE=OFF.
+// Component-side claim: `bundle` is the component's obs::Observability&;
+// compiles to nothing under QOPT_PROFILE=OFF.
 #if QOPT_PROFILE_ENABLED
-#define QOPT_PROFILE_SCOPE(obs_ptr, subsystem)                 \
-  ::qopt::obs::ProfileScope qopt_profile_scope_ {              \
-    (obs_ptr) != nullptr ? &(obs_ptr)->profiler() : nullptr,   \
-        (subsystem)                                            \
+#define QOPT_PROFILE_SCOPE(bundle, subsystem)     \
+  ::qopt::obs::ProfileScope qopt_profile_scope_ { \
+    (bundle).profiler(), (subsystem)              \
   }
 #else
-#define QOPT_PROFILE_SCOPE(obs_ptr, subsystem) \
-  do {                                         \
+#define QOPT_PROFILE_SCOPE(bundle, subsystem) \
+  do {                                        \
   } while (false)
 #endif

@@ -24,7 +24,7 @@ using kv::Version;
 
 Proxy::Proxy(sim::Simulator& sim, Net& net, sim::NodeId self,
              const kv::Placement& placement, const ProxyOptions& options,
-             obs::Observability* obs)
+             obs::Observability& obs)
     : sim_(sim),
       net_(net),
       self_(self),
@@ -34,15 +34,11 @@ Proxy::Proxy(sim::Simulator& sim, Net& net, sim::NodeId self,
       rng_(mix64(0x70727879ULL ^ self.index)),
       quorum_rng_(mix64(0x71756F72756DULL ^ self.index)),
       default_q_(options.initial),
-      summary_(options.topk_capacity) {
+      summary_(options.topk_capacity),
+      obs_(obs) {
   read_q_history_[0] = default_q_.read_footprint();
-  if (!obs) {
-    own_obs_ = std::make_unique<obs::Observability>();
-    obs = own_obs_.get();
-  }
-  obs_ = obs;
   node_name_ = sim::to_string(self_);
-  auto& reg = obs_->registry();
+  auto& reg = obs_.registry();
   const std::uint32_t i = self_.index;
   ins_.client_reads = &reg.counter(obs::instrument_name("proxy", i,
                                                         "client_reads"));
@@ -85,7 +81,7 @@ void Proxy::crash() {
   // open spans are force-closed at the crash instant.
   for (const LiveOp& live : live_ops_) {
     if (live.op->trace_ctx.valid()) {
-      obs_->spans().end_trace(live.op->trace_ctx, sim_.now());
+      obs_.spans().end_trace(live.op->trace_ctx, sim_.now());
     }
     release_op(*live.op);
   }
@@ -98,7 +94,7 @@ void Proxy::crash() {
   drain_waiting_ = false;
   drain_remaining_ = 0;
   if (drain_span_.valid()) {
-    obs_->spans().close_span(drain_span_, sim_.now());
+    obs_.spans().close_span(drain_span_, sim_.now());
     drain_span_ = obs::SpanContext{};
   }
 }
@@ -108,7 +104,7 @@ void Proxy::restart() {
   crashed_ = false;
   net_.set_crashed(self_, false);
   ins_.restarts->inc();
-  obs_->spans().instant(obs::Category::kMembership, "restart", node_name_,
+  obs_.spans().instant(obs::Category::kMembership, "restart", node_name_,
                         sim_.now());
   if (hb_enabled_) heartbeat_loop(++hb_gen_);
 }
@@ -278,7 +274,7 @@ void Proxy::handle_client_read(const sim::NodeId& from,
   sim_.at(ready, [this, from, req, arrival, trace_ctx, inc = incarnation_] {
     QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kProxy);
     if (crashed_ || inc != incarnation_) {
-      obs_->spans().end_trace(trace_ctx, sim_.now());
+      obs_.spans().end_trace(trace_ctx, sim_.now());
       return;
     }
     start_read(req.oid, from, req.req_id, arrival, trace_ctx);
@@ -295,7 +291,7 @@ void Proxy::handle_client_write(const sim::NodeId& from,
   sim_.at(ready, [this, from, req, arrival, trace_ctx, inc = incarnation_] {
     QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kProxy);
     if (crashed_ || inc != incarnation_) {
-      obs_->spans().end_trace(trace_ctx, sim_.now());
+      obs_.spans().end_trace(trace_ctx, sim_.now());
       return;
     }
     Version version;
@@ -403,7 +399,7 @@ void Proxy::launch_op(std::uint64_t op_id, PendingOp& op) {
   op.last_reply_at = 0;
   op.last_replica = 0;
   op.wait_span =
-      obs_->spans().open_span(op.trace_ctx, obs::Phase::kQuorumWait,
+      obs_.spans().open_span(op.trace_ctx, obs::Phase::kQuorumWait,
                               "quorum_wait", node_name_, sim_.now());
   contact_replicas(op_id, op, op.needed);
   // A NACK re-launch starts from fresh deadlines: the aborted attempt's
@@ -451,7 +447,7 @@ void Proxy::send_request(std::uint64_t op_id, PendingOp& op,
     if (const obs::SpanContext* open = op.find_rpc_span(replica)) {
       rpc = *open;
     } else if (open_span) {
-      rpc = obs_->spans().open_span(
+      rpc = obs_.spans().open_span(
           op.wait_span,
           is_read ? obs::Phase::kReplicaRead : obs::Phase::kReplicaWrite,
           is_read ? "replica_read" : "replica_write", node_name_, sim_.now());
@@ -530,7 +526,7 @@ void Proxy::fire_fallback(std::uint64_t op_id, PendingOp& op) {
   if (quorum_met(op)) return;
   if (op.contacted >= static_cast<int>(op.replica_order.size())) return;
   ins_.fallbacks->inc();
-  obs_->spans().instant(obs::Category::kQuorum, "fallback", node_name_,
+  obs_.spans().instant(obs::Category::kQuorum, "fallback", node_name_,
                         sim_.now(), op.oid);
   contact_replicas(op_id, op, static_cast<int>(op.replica_order.size()));
 }
@@ -545,7 +541,7 @@ bool Proxy::fire_retransmit(std::uint64_t op_id, PendingOp& op) {
   ins_.retries->inc();
   if (op.trace_ctx.valid()) {
     // Zero-duration marker: retransmit rounds show up on the op's trace.
-    obs::SpanStore& spans = obs_->spans();
+    obs::SpanStore& spans = obs_.spans();
     const obs::SpanContext marker =
         spans.open_span(op.trace_ctx, obs::Phase::kRetransmit, "retransmit",
                         node_name_, sim_.now());
@@ -567,7 +563,7 @@ void Proxy::fail_op(std::uint64_t op_id, PendingOp& op) {
   ins_.timeouts->inc();
   abort_op_spans(op, sim_.now());
   if (op.trace_ctx.valid()) {
-    obs::SpanStore& spans = obs_->spans();
+    obs::SpanStore& spans = obs_.spans();
     const obs::SpanContext marker =
         spans.open_span(op.trace_ctx, obs::Phase::kOpFailed, "op_failed",
                         node_name_, sim_.now());
@@ -586,7 +582,7 @@ void Proxy::fail_op(std::uint64_t op_id, PendingOp& op) {
   }
   // A failed write-back vanishes silently: the repaired value stays
   // readable through the historical-quorum path, so nothing is lost.
-  if (op.trace_ctx.valid()) obs_->spans().end_trace(op.trace_ctx, sim_.now());
+  if (op.trace_ctx.valid()) obs_.spans().end_trace(op.trace_ctx, sim_.now());
   // A draining op that times out still drains — otherwise a single lost
   // replica would wedge the NEWQ handshake forever.
   if (op.drains) op_completed_for_drain();
@@ -597,7 +593,7 @@ void Proxy::fail_op(std::uint64_t op_id, PendingOp& op) {
 
 obs::SpanContext Proxy::begin_op_trace(obs::TraceKind kind, const char* name,
                                        Time arrival, Time ready) {
-  obs::SpanStore& spans = obs_->spans();
+  obs::SpanStore& spans = obs_.spans();
   const obs::SpanContext trace_ctx =
       spans.start_trace(kind, name, node_name_, arrival);
   if (trace_ctx.valid()) {
@@ -614,7 +610,7 @@ void Proxy::note_reply(PendingOp& op, std::uint32_t replica) {
   op.last_reply_at = sim_.now();
   op.last_replica = replica;
   if (const obs::SpanContext* rpc = op.find_rpc_span(replica)) {
-    obs_->spans().close_span(*rpc, sim_.now(), op.oid, replica);
+    obs_.spans().close_span(*rpc, sim_.now(), op.oid, replica);
     op.drop_rpc_span(replica);
   }
 }
@@ -631,14 +627,14 @@ void Proxy::on_quorum_satisfied(PendingOp& op) {
     ins_.straggler_excess_ns->record(static_cast<double>(excess));
   }
   if (op.wait_span.valid()) {
-    obs_->spans().close_span(op.wait_span, now, op.last_replica,
+    obs_.spans().close_span(op.wait_span, now, op.last_replica,
                              static_cast<std::uint64_t>(excess));
     op.wait_span = obs::SpanContext{};
   }
 }
 
 void Proxy::abort_op_spans(PendingOp& op, Time at) {
-  obs::SpanStore& spans = obs_->spans();
+  obs::SpanStore& spans = obs_.spans();
   for (const auto& [replica, ctx] : op.rpc_spans) {
     spans.close_span(ctx, at, op.oid, replica);
   }
@@ -701,7 +697,7 @@ void Proxy::maybe_complete_read(std::uint64_t op_id, PendingOp& op) {
       op.prev_reply_at = 0;
       op.last_reply_at = 0;
       op.wait_span =
-          obs_->spans().open_span(op.trace_ctx, obs::Phase::kReadRepair,
+          obs_.spans().open_span(op.trace_ctx, obs::Phase::kReadRepair,
                                   "read_repair", node_name_, sim_.now());
       if (op.received < op.needed) {
         contact_replicas(op_id, op, op.needed);
@@ -747,7 +743,7 @@ void Proxy::retry_op(std::uint64_t op_id, PendingOp& op) {
   if (op.trace_ctx.valid()) {
     // Zero-duration marker: the NACK aborted the attempt here; launch_op
     // opens a fresh wait span for the re-execution.
-    obs::SpanStore& spans = obs_->spans();
+    obs::SpanStore& spans = obs_.spans();
     const obs::SpanContext marker =
         spans.open_span(op.trace_ctx, obs::Phase::kNackRetry, "nack_retry",
                         node_name_, sim_.now());
@@ -815,13 +811,13 @@ void Proxy::finish_op(std::uint64_t op_id, PendingOp& op) {
     wb.cfno = lcfno_;
     // The write-back is its own trace: it outlives the client op and has no
     // queueing phase.
-    const obs::SpanContext wb_trace = obs_->spans().start_trace(
+    const obs::SpanContext wb_trace = obs_.spans().start_trace(
         obs::TraceKind::kWriteback, "writeback", node_name_, sim_.now());
     start_write(op.oid, wb, sim::NodeId{}, 0, sim_.now(),
                 PendingOp::Kind::kWriteBack, wb_trace);
   }
 
-  if (op.trace_ctx.valid()) obs_->spans().end_trace(op.trace_ctx, sim_.now());
+  if (op.trace_ctx.valid()) obs_.spans().end_trace(op.trace_ctx, sim_.now());
   // Only ops issued before the NEWQ count toward its drain; ops launched
   // under the transition quorum must not release the ACKNEWQ early.
   if (op.drains) op_completed_for_drain();
@@ -836,7 +832,7 @@ void Proxy::handle_new_quorum(const sim::NodeId& from,
     // Future strategy encoding this proxy cannot decode: stay silent (no
     // ack) so the install cannot take effect with a half-understood payload;
     // the RM keeps retransmitting and operators see the stalled handshake.
-    obs_->spans().instant(obs::Category::kReconfig, "proxy_newq_version_skew",
+    obs_.spans().instant(obs::Category::kReconfig, "proxy_newq_version_skew",
                           node_name_, sim_.now(), msg.epno,
                           msg.strategy_version);
     return;
@@ -862,8 +858,8 @@ void Proxy::handle_new_quorum(const sim::NodeId& from,
   ins_.reconfigurations->inc();
   // Drain span, parented under the RM's NEWQ phase span; a stale one (the
   // previous drain was superseded before its ops completed) is closed here.
-  if (drain_span_.valid()) obs_->spans().close_span(drain_span_, sim_.now());
-  drain_span_ = obs_->spans().open_span(msg.span, obs::Phase::kProxyDrain,
+  if (drain_span_.valid()) obs_.spans().close_span(drain_span_, sim_.now());
+  drain_span_ = obs_.spans().open_span(msg.span, obs::Phase::kProxyDrain,
                                         "proxy_drain", node_name_, sim_.now());
   pending_change_ = msg.change;
   pending_cfno_ = msg.cfno;
@@ -906,7 +902,7 @@ void Proxy::handle_new_quorum(const sim::NodeId& from,
   if (drain_remaining_ == 0) {
     drain_waiting_ = false;
     if (drain_span_.valid()) {
-      obs_->spans().close_span(drain_span_, sim_.now(), drain_cfno_);
+      obs_.spans().close_span(drain_span_, sim_.now(), drain_cfno_);
       drain_span_ = obs::SpanContext{};
     }
     net_.send(self_, from, kv::AckNewQuorumMsg{msg.epno, msg.cfno});
@@ -920,7 +916,7 @@ void Proxy::op_completed_for_drain() {
   if (--drain_remaining_ <= 0) {
     drain_waiting_ = false;
     if (drain_span_.valid()) {
-      obs_->spans().close_span(drain_span_, sim_.now(), drain_cfno_);
+      obs_.spans().close_span(drain_span_, sim_.now(), drain_cfno_);
       drain_span_ = obs::SpanContext{};
     }
     net_.send(self_, drain_reply_to_,
@@ -931,7 +927,7 @@ void Proxy::op_completed_for_drain() {
 void Proxy::handle_confirm(const sim::NodeId& from, const kv::ConfirmMsg& msg) {
   if (msg.span.valid()) {
     // Zero-duration adoption marker under the RM's CONFIRM phase span.
-    obs::SpanStore& spans = obs_->spans();
+    obs::SpanStore& spans = obs_.spans();
     const obs::SpanContext marker =
         spans.open_span(msg.span, obs::Phase::kProxyConfirm, "proxy_confirm",
                         node_name_, sim_.now());
@@ -956,7 +952,7 @@ void Proxy::commit_pending_change() {
 }
 
 void Proxy::adopt_full_config(const kv::FullConfig& config) {
-  obs_->spans().instant(obs::Category::kReconfig, "proxy_resync", node_name_,
+  obs_.spans().instant(obs::Category::kReconfig, "proxy_resync", node_name_,
                         sim_.now(), config.epno, config.cfno);
   lepno_ = config.epno;
   if (config.cfno >= lcfno_) {

@@ -49,7 +49,6 @@
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
-#include <memory>
 #include <string>
 
 namespace qopt::proxy {
@@ -98,11 +97,11 @@ class Proxy {
   using Net = sim::Network<kv::Message>;
   using OpCallback = std::function<void(const OpRecord&)>;
 
-  /// `obs` is the cluster-wide observability bundle; when null the proxy
-  /// allocates a private one (stand-alone component tests).
+  /// `obs` is the deployment's observability bundle; it must outlive the
+  /// proxy.
   Proxy(sim::Simulator& sim, Net& net, sim::NodeId self,
         const kv::Placement& placement, const ProxyOptions& options,
-        obs::Observability* obs = nullptr);
+        obs::Observability& obs);
 
   void on_message(const sim::NodeId& from, const kv::Message& msg);
 
@@ -143,9 +142,6 @@ class Proxy {
   kv::QuorumConfig effective_quorum(kv::ObjectId oid) const;
   /// Full strategy in force for `oid` (transition quorums while draining).
   kv::QuorumStrategy effective_strategy(kv::ObjectId oid) const;
-  /// Observability bundle in use (the shared one, or the private fallback).
-  obs::Observability& observability() noexcept { return *obs_; }
-  const obs::Observability& observability() const noexcept { return *obs_; }
   std::size_t pending_ops() const noexcept { return live_ops_.size(); }
   /// Pending-op slots allocated so far: the high-water mark of in-flight
   /// operations (slots are recycled, never freed).
@@ -464,8 +460,7 @@ class Proxy {
   void heartbeat_loop(std::uint64_t gen);
 
   // Observability: counters cached at construction, bumped on the hot path.
-  std::unique_ptr<obs::Observability> own_obs_;  // fallback when none shared
-  obs::Observability* obs_ = nullptr;
+  obs::Observability& obs_;
   struct Instruments {
     obs::Counter* client_reads = nullptr;
     obs::Counter* client_writes = nullptr;

@@ -94,7 +94,7 @@ void ReconfigManager::arm_phase_retransmit(int attempt) {
   delay = std::min(delay, kRetryCap);
   const std::uint64_t gen = retry_gen_;
   sim_.after(delay, [this, gen, attempt] {
-    QOPT_PROFILE_SCOPE(&obs_, obs::ProfSubsystem::kRm);
+    QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kRm);
     if (gen != retry_gen_) return;  // the phase moved on
     resend_phase();
     arm_phase_retransmit(attempt + 1);
@@ -214,7 +214,7 @@ int ReconfigManager::max_read_q(const FullConfig& state) {
 // ------------------------------------------------------------- message i/o
 
 void ReconfigManager::on_message(const sim::NodeId& from, const Message& msg) {
-  QOPT_PROFILE_SCOPE(&obs_, obs::ProfSubsystem::kRm);
+  QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kRm);
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;

@@ -6,7 +6,7 @@
 // them (see docs/ROBUSTNESS.md): per-message drop probability, delay spikes,
 // duplicate delivery, and one-way or symmetric partitions between node sets.
 // Every fault is drawn from the network's seeded RNG (same seed, same
-// faults) and counted under its own reason in NetworkStats / the registry.
+// faults) and counted under its own reason in the bound registry (`net.*`).
 // With the fault plane disabled (all probabilities zero, no partitions) the
 // RNG stream is untouched, so baseline runs stay byte-identical.
 //
@@ -60,21 +60,6 @@ struct LatencyModel {
   }
 };
 
-struct NetworkStats {
-  std::uint64_t messages_sent = 0;
-  std::uint64_t messages_delivered = 0;
-  std::uint64_t messages_dropped = 0;  // total = sum of the reasons below
-  // Drop reasons (each drop is counted exactly once):
-  std::uint64_t dropped_sender_crashed = 0;    // refused at send time
-  std::uint64_t dropped_receiver_crashed = 0;  // in flight, receiver dead
-  std::uint64_t dropped_unroutable = 0;  // unregistered target / no handler
-  std::uint64_t dropped_link_loss = 0;   // fault plane: random loss
-  std::uint64_t dropped_partitioned = 0;  // fault plane: blocked direction
-  // Fault-plane extras (not drops):
-  std::uint64_t duplicates_delivered = 0;  // extra copies handed to receivers
-  std::uint64_t delay_spikes = 0;          // messages given the spike extra
-};
-
 template <typename M>
 class Network {
  public:
@@ -117,7 +102,7 @@ class Network {
   // ------------------------------------------------------ link-fault plane
 
   /// Per-message drop probability in [0, 1): each non-refused send is lost
-  /// with this probability (counted as dropped_link_loss).
+  /// with this probability (counted as `net.dropped.link_loss`).
   void set_loss(double p) { loss_ = clamp_probability(p); }
   double loss() const noexcept { return loss_; }
 
@@ -128,9 +113,12 @@ class Network {
 
   /// With probability `p`, a message's latency grows by `extra` (tail-delay
   /// bursts; exercises timeout/retransmit paths without losing messages).
+  /// A positive `p` registers `net.delay_spikes`, so spike-free runs export
+  /// no such key.
   void set_delay_spike(double p, Duration extra) {
     delay_spike_p_ = clamp_probability(p);
     delay_spike_ = extra;
+    bind_spike_counter();
   }
 
   /// Installs a partition blocking traffic from set `a` to set `b` (and from
@@ -180,14 +168,15 @@ class Network {
   using SendTap = std::function<void(const NodeId& from, const NodeId& to)>;
   void set_send_tap(SendTap tap) { tap_ = std::move(tap); }
 
-  /// Mirror message accounting into a shared registry (instruments under
-  /// `net.*`) and record kNet drop instants. The internal NetworkStats stays
-  /// authoritative so the template works standalone without an obs bundle.
+  /// Counts messages in a shared registry (instruments under `net.*`, one
+  /// per drop reason, each drop counted exactly once) and records kNet drop
+  /// instants. An unbound network counts nothing: the SMR group's private
+  /// network stays unbound so RM-group traffic never reaches `net.*`.
   void bind_observability(obs::Observability* o) {
     obs_ = o;
     if (!obs_) {
       sent_ = delivered_ = drop_sender_ = drop_receiver_ = drop_unroutable_ =
-          drop_loss_ = drop_partition_ = duplicated_ = nullptr;
+          drop_loss_ = drop_partition_ = duplicated_ = delay_spikes_ = nullptr;
       return;
     }
     auto& reg = obs_->registry();
@@ -199,16 +188,14 @@ class Network {
     drop_loss_ = &reg.counter("net.dropped.link_loss");
     drop_partition_ = &reg.counter("net.dropped.partitioned");
     duplicated_ = &reg.counter("net.duplicated");
+    bind_spike_counter();
   }
 
   void send(const NodeId& from, const NodeId& to, M msg) {
-    ++stats_.messages_sent;
     if (sent_) sent_->inc();
     if (tap_) tap_(from, to);
     const NodeState* sender = find(from);
     if (sender != nullptr && sender->crashed) {
-      ++stats_.messages_dropped;
-      ++stats_.dropped_sender_crashed;
       if (drop_sender_) drop_sender_->inc();
       trace_drop("drop_sender_crashed", from, to);
       return;
@@ -217,15 +204,13 @@ class Network {
     // when the corresponding fault is enabled — so a disabled plane consumes
     // no RNG and the baseline schedule is unchanged.
     if (loss_ > 0 && rng_.chance(loss_)) {
-      ++stats_.messages_dropped;
-      ++stats_.dropped_link_loss;
       if (drop_loss_) drop_loss_->inc();
       trace_drop("drop_link_loss", from, to);
       return;
     }
     Duration lat = latency_.sample(rng_);
     if (delay_spike_p_ > 0 && rng_.chance(delay_spike_p_)) {
-      ++stats_.delay_spikes;
+      if (delay_spikes_) delay_spikes_->inc();
       lat += delay_spike_;
     }
     if (duplication_ > 0 && rng_.chance(duplication_)) {
@@ -246,8 +231,6 @@ class Network {
   void broadcast(const NodeId& from, const Range& targets, const M& msg) {
     for (const NodeId& to : targets) send(from, to, msg);
   }
-
-  const NetworkStats& stats() const noexcept { return stats_; }
 
   /// Messages staged for delivery: sent (duplicates included) and not yet
   /// arrived. Each one holds exactly one pending simulator event.
@@ -286,6 +269,12 @@ class Network {
 
   static double clamp_probability(double p) {
     return std::clamp(p, 0.0, 1.0);
+  }
+
+  void bind_spike_counter() {
+    if (obs_ && delay_spike_p_ > 0 && !delay_spikes_) {
+      delay_spikes_ = &obs_->registry().counter("net.delay_spikes");
+    }
   }
 
   static std::size_t kind_of(const NodeId& id) noexcept {
@@ -443,15 +432,11 @@ class Network {
     // handler below runs in place even if it registers further nodes.
     NodeState* receiver = find(to);
     if (receiver == nullptr || !receiver->handler) {
-      ++stats_.messages_dropped;
-      ++stats_.dropped_unroutable;
       if (drop_unroutable_) drop_unroutable_->inc();
       trace_drop("drop_unroutable", from, to);
       return;
     }
     if (receiver->crashed) {
-      ++stats_.messages_dropped;
-      ++stats_.dropped_receiver_crashed;
       if (drop_receiver_) drop_receiver_->inc();
       trace_drop("drop_receiver_crashed", from, to);
       return;
@@ -460,18 +445,12 @@ class Network {
     // time: a message sent before the partition and arriving during it is
     // lost, exactly like one addressed to a crashed receiver.
     if (!partitions_.empty() && partitioned(from, to)) {
-      ++stats_.messages_dropped;
-      ++stats_.dropped_partitioned;
       if (drop_partition_) drop_partition_->inc();
       trace_drop("drop_partitioned", from, to);
       return;
     }
-    ++stats_.messages_delivered;
     if (delivered_) delivered_->inc();
-    if (duplicate) {
-      ++stats_.duplicates_delivered;
-      if (duplicated_) duplicated_->inc();
-    }
+    if (duplicate && duplicated_) duplicated_->inc();
 #if QOPT_PROFILE_ENABLED
     if (prof != nullptr) {
       if constexpr (detail::is_variant_v<M>) {
@@ -506,7 +485,6 @@ class Network {
   std::vector<InFlight> slab_;
   std::uint32_t free_head_ = kNoSlot;
   std::size_t in_flight_ = 0;  // occupied slab slots
-  NetworkStats stats_;
   SendTap tap_;
   double loss_ = 0.0;
   double duplication_ = 0.0;
@@ -525,6 +503,7 @@ class Network {
   obs::Counter* drop_loss_ = nullptr;
   obs::Counter* drop_partition_ = nullptr;
   obs::Counter* duplicated_ = nullptr;
+  obs::Counter* delay_spikes_ = nullptr;  // registered once spikes are on
 };
 
 }  // namespace qopt::sim

@@ -69,7 +69,7 @@ Fingerprint run_scenario(std::uint64_t seed, bool autotune, bool heartbeat,
   fp.ops = cluster.metrics().total_ops();
   fp.reads = cluster.metrics().total_reads();
   fp.writes = cluster.metrics().total_writes();
-  fp.messages = cluster.network_stats().messages_sent;
+  fp.messages = cluster.obs().registry().counter_value("net.messages_sent");
   fp.reconfigs = cluster.obs().registry().counter_value("rm.reconfigurations_completed");
   fp.cfno = cluster.rm().config().cfno;
   fp.overrides = cluster.rm().config().overrides.size();

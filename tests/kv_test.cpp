@@ -10,6 +10,7 @@
 #include "kv/storage_node.hpp"
 #include "kv/types.hpp"
 #include "kv/wire.hpp"
+#include "obs/obs.hpp"
 #include "obs/registry.hpp"
 #include "sim/ids.hpp"
 #include "sim/network.hpp"
@@ -181,6 +182,7 @@ TEST(ServicePoolTest, UtilizationTracksBusyTime) {
 struct StorageFixture : ::testing::Test {
   using Net = sim::Network<Message>;
 
+  obs::Observability telemetry;
   sim::Simulator sim;
   Rng rng{17};
   Net net{sim, sim::LatencyModel{microseconds(50), 0}, rng};
@@ -192,7 +194,7 @@ struct StorageFixture : ::testing::Test {
     service.read_jitter = 0;
     service.write_jitter = 0;
     node = std::make_unique<StorageNode>(sim, net, sim::storage_id(0),
-                                         service, 2, Rng(1));
+                                         service, 2, Rng(1), telemetry);
     net.register_node(sim::storage_id(0),
                       [this](const sim::NodeId& from, const Message& m) {
                         node->on_message(from, m);
@@ -249,7 +251,7 @@ TEST_F(StorageFixture, OlderWriteDiscardedButAcked) {
   EXPECT_EQ(proxy_inbox.size(), 2u);  // both acked
   EXPECT_TRUE(std::holds_alternative<StorageWriteResp>(proxy_inbox[1]));
   EXPECT_EQ(node->peek(7)->value, 2u);
-  EXPECT_EQ(node->observability().registry().counter_value(
+  EXPECT_EQ(telemetry.registry().counter_value(
                 obs::instrument_name("storage", 0, "writes_discarded")),
             1u);
 }
@@ -290,7 +292,7 @@ TEST_F(StorageFixture, StaleEpochGetsNack) {
     }
   }
   EXPECT_TRUE(got_nack);
-  EXPECT_EQ(node->observability().registry().counter_value(
+  EXPECT_EQ(telemetry.registry().counter_value(
                 obs::instrument_name("storage", 0, "nacks_sent")),
             1u);
 }
@@ -366,7 +368,7 @@ struct DedupWindowFixture : StorageFixture {
   static constexpr std::uint64_t kWindow = 4096;
 
   std::uint64_t counter(const char* field) const {
-    return node->observability().registry().counter_value(
+    return telemetry.registry().counter_value(
         obs::instrument_name("storage", 0, field));
   }
 

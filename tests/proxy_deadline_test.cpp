@@ -205,7 +205,7 @@ struct DeadlineHarness : ::testing::Test {
     for (std::uint32_t i = 0; i < kStorage; ++i) {
       storage.push_back(std::make_unique<kv::StorageNode>(
           sim, net, sim::storage_id(i), service, 2, Rng(100 + i),
-          &telemetry));
+          telemetry));
       kv::StorageNode* raw = storage.back().get();
       net.register_node(sim::storage_id(i),
                         [raw](const sim::NodeId& from, const kv::Message& m) {
@@ -214,7 +214,7 @@ struct DeadlineHarness : ::testing::Test {
     }
     options.initial = kv::QuorumConfig::of(1, 5);
     proxy = std::make_unique<proxy::Proxy>(sim, net, sim::proxy_id(0),
-                                           placement, options, &telemetry);
+                                           placement, options, telemetry);
     net.register_node(sim::proxy_id(0),
                       [this](const sim::NodeId& from, const kv::Message& m) {
                         proxy->on_message(from, m);
@@ -307,7 +307,7 @@ TEST_F(DeadlineHarness, ReadRepairKeepsTheLaunchFallbackDeadline) {
 TEST_F(DeadlineHarness, CrashRetiresTheArmedEventAndRestartRearms) {
   options.initial = kv::QuorumConfig::of(3, 3);
   proxy = std::make_unique<proxy::Proxy>(sim, net, sim::proxy_id(0),
-                                         placement, options, &telemetry);
+                                         placement, options, telemetry);
   const kv::ObjectId oid = 7;
   const std::vector<std::uint32_t> order = contact_order(oid);
   net.send(sim::client_id(0), sim::proxy_id(0),
@@ -349,6 +349,9 @@ TEST_F(DeadlineHarness, CrashRetiresTheArmedEventAndRestartRearms) {
 struct SlabFixture : ::testing::Test {
   using Net = sim::Network<std::string>;
 
+  SlabFixture() { net.bind_observability(&telemetry); }
+
+  obs::Observability telemetry;
   sim::Simulator sim;
   Net net{sim, sim::LatencyModel{microseconds(100), microseconds(50)},
           Rng(9)};
@@ -405,7 +408,7 @@ TEST_F(SlabFixture, DuplicatesAndSlotReuseKeepEveryPayload) {
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(std::count(inbox_b.begin(), inbox_b.end(), payload(i)), 2);
   }
-  EXPECT_EQ(net.stats().duplicates_delivered, 10u);
+  EXPECT_EQ(telemetry.registry().counter_value("net.duplicated"), 10u);
   EXPECT_EQ(net.in_flight(), 0u);
 
   // Later traffic reuses the freed slots: the slab stays at its high-water

@@ -56,7 +56,7 @@ struct ProxyHarness : ::testing::Test {
     for (std::uint32_t i = 0; i < kStorage; ++i) {
       storage.push_back(std::make_unique<kv::StorageNode>(
           sim, net, sim::storage_id(i), service, 2, Rng(100 + i),
-          &telemetry));
+          telemetry));
       kv::StorageNode* raw = storage.back().get();
       net.register_node(sim::storage_id(i),
                         [raw](const sim::NodeId& from, const Message& m) {
@@ -66,7 +66,7 @@ struct ProxyHarness : ::testing::Test {
     ProxyOptions options;
     options.initial = initial;
     proxy = std::make_unique<Proxy>(sim, net, sim::proxy_id(0), placement,
-                                    options, &telemetry);
+                                    options, telemetry);
     net.register_node(sim::proxy_id(0),
                       [this](const sim::NodeId& from, const Message& m) {
                         proxy->on_message(from, m);

@@ -6,7 +6,10 @@
 // as the liveness oracle.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <string>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "kv/storage_node.hpp"
 #include "kv/types.hpp"
 #include "kv/wire.hpp"
+#include "obs/obs.hpp"
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
 #include "sim/failure_detector.hpp"
@@ -34,12 +38,19 @@ namespace {
 struct NetFixture : ::testing::Test {
   using Net = sim::Network<int>;
 
+  /// The bound registry's `net.<name>` counter.
+  std::uint64_t counter(const std::string& name) const {
+    return telemetry.registry().counter_value("net." + name);
+  }
+
+  obs::Observability telemetry;
   sim::Simulator sim;
   Net net{sim, sim::LatencyModel{microseconds(100), 0}, Rng(42)};
   std::vector<int> inbox_a;
   std::vector<int> inbox_b;
 
   void SetUp() override {
+    net.bind_observability(&telemetry);
     net.register_node(sim::storage_id(0),
                       [this](const sim::NodeId&, int m) {
                         inbox_a.push_back(m);
@@ -58,8 +69,8 @@ TEST_F(NetFixture, LinkLossDropsWithItsOwnReason) {
   }
   sim.run();
   EXPECT_TRUE(inbox_b.empty());
-  EXPECT_EQ(net.stats().dropped_link_loss, 10u);
-  EXPECT_EQ(net.stats().messages_dropped, 10u);
+  EXPECT_EQ(counter("dropped.link_loss"), 10u);
+  EXPECT_EQ(counter("messages_delivered"), 0u);
   net.set_loss(0.0);
   net.send(sim::storage_id(0), sim::storage_id(1), 99);
   sim.run();
@@ -73,10 +84,10 @@ TEST_F(NetFixture, DuplicationDeliversASecondCopyAfterTheFirst) {
   ASSERT_EQ(inbox_b.size(), 2u);
   EXPECT_EQ(inbox_b[0], 7);
   EXPECT_EQ(inbox_b[1], 7);
-  EXPECT_EQ(net.stats().duplicates_delivered, 1u);
-  // Duplicates are deliveries, not drops.
-  EXPECT_EQ(net.stats().messages_dropped, 0u);
-  EXPECT_EQ(net.stats().messages_delivered, 2u);
+  EXPECT_EQ(counter("duplicated"), 1u);
+  // Duplicates are deliveries, not drops: one send, two deliveries.
+  EXPECT_EQ(counter("messages_sent"), 1u);
+  EXPECT_EQ(counter("messages_delivered"), 2u);
 }
 
 TEST_F(NetFixture, DelaySpikeAddsLatencyWithoutLosingTheMessage) {
@@ -90,8 +101,62 @@ TEST_F(NetFixture, DelaySpikeAddsLatencyWithoutLosingTheMessage) {
   net.send(sim::storage_id(0), sim::storage_id(2), 1);
   sim.run();
   EXPECT_GE(delivered_at - t0, milliseconds(50));
-  EXPECT_EQ(net.stats().delay_spikes, 1u);
-  EXPECT_EQ(net.stats().messages_delivered, 1u);
+  EXPECT_EQ(counter("delay_spikes"), 1u);
+  EXPECT_EQ(counter("messages_delivered"), 1u);
+}
+
+TEST_F(NetFixture, EachDelaySpikeIsCountedOnce) {
+  // Spike-free networks register no `net.delay_spikes` at all.
+  EXPECT_EQ(telemetry.registry().snapshot().counters.count("net.delay_spikes"),
+            0u);
+  net.set_delay_spike(0.5, milliseconds(5));
+  std::uint64_t spiked = 0;
+  for (int i = 0; i < 200; ++i) {
+    // One message in the air at a time, so no FIFO clamp hides a spike.
+    const Time sent = sim.now();
+    net.send(sim::storage_id(0), sim::storage_id(1), i);
+    sim.run();
+    if (sim.now() - sent >= milliseconds(5)) ++spiked;
+  }
+  EXPECT_GT(spiked, 0u);
+  EXPECT_LT(spiked, 200u);
+  EXPECT_EQ(counter("delay_spikes"), spiked);
+}
+
+TEST(NetworkSpikeCounter, BindingAfterSpikesAreOnRegistersIt) {
+  obs::Observability telemetry;
+  sim::Simulator sim;
+  sim::Network<int> net{sim, sim::LatencyModel{microseconds(100), 0}, Rng(1)};
+  net.register_node(sim::storage_id(1), [](const sim::NodeId&, int) {});
+  net.set_delay_spike(1.0, milliseconds(5));
+  net.bind_observability(&telemetry);
+  net.send(sim::storage_id(0), sim::storage_id(1), 1);
+  sim.run();
+  EXPECT_EQ(telemetry.registry().counter_value("net.delay_spikes"), 1u);
+}
+
+TEST(ClusterNetworkCounters, SpikeFreeSnapshotHasNoDelaySpikeKey) {
+  ClusterConfig config;
+  config.num_storage = 3;
+  config.num_proxies = 1;
+  config.clients_per_proxy = 2;
+  config.replication = 3;
+  config.initial_quorum = kv::QuorumConfig::of(2, 2);
+  config.net_loss = 0.01;
+  const auto counters = [&config] {
+    Cluster cluster(config);
+    cluster.preload(100, 1024);
+    cluster.set_workload(workload::ycsb_a(100));
+    cluster.run_for(seconds(1));
+    EXPECT_GT(cluster.report().messages_sent, 0u);
+    return cluster.obs().registry().snapshot().counters;
+  };
+  EXPECT_EQ(counters().count("net.delay_spikes"), 0u);
+  config.net_delay_spike_p = 0.1;
+  const auto spiky = counters();
+  ASSERT_EQ(spiky.count("net.delay_spikes"), 1u);
+  EXPECT_GT(spiky.at("net.delay_spikes"), 0u);
+  EXPECT_LT(spiky.at("net.delay_spikes"), spiky.at("net.messages_sent"));
 }
 
 TEST_F(NetFixture, SymmetricPartitionCutsBothDirectionsUntilHealed) {
@@ -103,7 +168,7 @@ TEST_F(NetFixture, SymmetricPartitionCutsBothDirectionsUntilHealed) {
   sim.run();
   EXPECT_TRUE(inbox_a.empty());
   EXPECT_TRUE(inbox_b.empty());
-  EXPECT_EQ(net.stats().dropped_partitioned, 2u);
+  EXPECT_EQ(counter("dropped.partitioned"), 2u);
   EXPECT_TRUE(net.heal_partition(id));
   EXPECT_FALSE(net.heal_partition(id));  // already healed
   net.send(sim::storage_id(0), sim::storage_id(1), 3);
@@ -129,15 +194,17 @@ TEST_F(NetFixture, PartitionCutsMessagesAlreadyInFlight) {
   net.add_partition({sim::storage_id(0)}, {sim::storage_id(1)});
   sim.run();
   EXPECT_TRUE(inbox_b.empty());
-  EXPECT_EQ(net.stats().dropped_partitioned, 1u);
+  EXPECT_EQ(counter("dropped.partitioned"), 1u);
 }
 
 TEST(NetworkFaultDeterminism, SameSeedSameFaultSchedule) {
   const auto run = [] {
+    obs::Observability telemetry;
     sim::Simulator sim;
     sim::Network<int> net{sim, sim::LatencyModel{microseconds(100),
                                                  microseconds(200)},
                           Rng(7)};
+    net.bind_observability(&telemetry);
     std::uint64_t received = 0;
     net.register_node(sim::storage_id(1),
                       [&](const sim::NodeId&, int) { ++received; });
@@ -148,9 +215,10 @@ TEST(NetworkFaultDeterminism, SameSeedSameFaultSchedule) {
       net.send(sim::storage_id(0), sim::storage_id(1), i);
     }
     sim.run();
-    return std::tuple{received, net.stats().dropped_link_loss,
-                      net.stats().duplicates_delivered,
-                      net.stats().delay_spikes};
+    const obs::MetricRegistry& reg = telemetry.registry();
+    return std::tuple{received, reg.counter_value("net.dropped.link_loss"),
+                      reg.counter_value("net.duplicated"),
+                      reg.counter_value("net.delay_spikes")};
   };
   EXPECT_EQ(run(), run());
 }
@@ -160,6 +228,7 @@ TEST(NetworkFaultDeterminism, SameSeedSameFaultSchedule) {
 struct DedupFixture : ::testing::Test {
   using Net = sim::Network<kv::Message>;
 
+  obs::Observability telemetry;
   sim::Simulator sim;
   Net net{sim, sim::LatencyModel{microseconds(50), 0}, Rng(17)};
   kv::ServiceTimes service;
@@ -170,7 +239,7 @@ struct DedupFixture : ::testing::Test {
     service.read_jitter = 0;
     service.write_jitter = 0;
     node = std::make_unique<kv::StorageNode>(sim, net, sim::storage_id(0),
-                                             service, 2, Rng(1));
+                                             service, 2, Rng(1), telemetry);
     net.register_node(sim::storage_id(0),
                       [this](const sim::NodeId& from, const kv::Message& m) {
                         node->on_message(from, m);
@@ -182,7 +251,7 @@ struct DedupFixture : ::testing::Test {
   }
 
   std::uint64_t counter(const char* name) const {
-    return node->observability().registry().counter_value(
+    return telemetry.registry().counter_value(
         obs::instrument_name("storage", 0, name));
   }
 };
@@ -404,7 +473,7 @@ TEST(CrashRecoveryTest, ProxyRelearnsTheEpochThroughTheNackPath) {
 // violations, zero stuck clients, and a byte-identical report on rerun.
 struct ChaosOutcome {
   std::string report_json;
-  NemesisStats nemesis;
+  std::map<std::string, std::uint64_t> counters;  // registry, end of run
   bool clean = false;
   bool all_resolved = false;
   std::uint64_t completed = 0;
@@ -434,7 +503,7 @@ ChaosOutcome run_dense_chaos(std::uint64_t seed) {
   cluster.run_for(seconds(20));  // quiesce past the longest backoff ladder
 
   ChaosOutcome out;
-  out.nemesis = nemesis.stats();
+  out.counters = cluster.obs().registry().snapshot().counters;
   out.clean = cluster.checker().clean();
   out.all_resolved = true;
   for (std::uint32_t i = 0; i < cluster.num_clients(); ++i) {
@@ -452,10 +521,11 @@ TEST(ChaosAcceptanceTest, DenseScheduleIsSafeLiveAndDeterministic) {
   EXPECT_TRUE(out.all_resolved) << "a client operation is stuck";
   EXPECT_GT(out.completed, 1'000u);
   // The schedule really exercised the new fault kinds.
-  EXPECT_GE(out.nemesis.partitions, 1u);
-  EXPECT_EQ(out.nemesis.partitions, out.nemesis.heals);
-  EXPECT_GE(out.nemesis.loss_bursts, 1u);
-  EXPECT_GE(out.nemesis.restarts, 2u);
+  EXPECT_GE(out.counters.at("nemesis.partitions"), 1u);
+  EXPECT_EQ(out.counters.at("nemesis.partitions"),
+            out.counters.at("nemesis.heals"));
+  EXPECT_GE(out.counters.at("nemesis.loss_bursts"), 1u);
+  EXPECT_GE(out.counters.at("nemesis.restarts"), 2u);
 
   // Byte-identical rerun: the whole scenario, fault plane included, is a
   // pure function of the seed.
@@ -493,7 +563,7 @@ ChaosOutcome run_rm_chaos(std::uint64_t seed) {
   cluster.run_for(seconds(20));  // pending RM restarts/heals fire in here
 
   ChaosOutcome out;
-  out.nemesis = nemesis.stats();
+  out.counters = cluster.obs().registry().snapshot().counters;
   out.clean = cluster.checker().clean();
   out.all_resolved = true;
   for (std::uint32_t i = 0; i < cluster.num_clients(); ++i) {
@@ -512,9 +582,9 @@ TEST(RmChaosAcceptanceTest, LeaderFaultsAreSafeLiveAndDeterministic) {
   EXPECT_GT(out.completed, 1'000u);
   // The schedule really exercised both RM fault kinds, alongside the
   // reconfiguration traffic that keeps rounds in flight when they strike.
-  EXPECT_GE(out.nemesis.rm_crashes, 1u);
-  EXPECT_GE(out.nemesis.rm_partitions, 1u);
-  EXPECT_GE(out.nemesis.reconfigurations, 1u);
+  EXPECT_GE(out.counters.at("nemesis.rm_crashes"), 1u);
+  EXPECT_GE(out.counters.at("nemesis.rm_partitions"), 1u);
+  EXPECT_GE(out.counters.at("nemesis.reconfigurations"), 1u);
   EXPECT_NE(out.report_json.find("\"rm_leader_changes\":"),
             std::string::npos);
 

@@ -238,6 +238,21 @@ TEST(NodeIdTest, ToString) {
 using TestNet = Network<std::string>;
 
 struct NetFixture : ::testing::Test {
+  NetFixture() { net.bind_observability(&telemetry); }
+
+  /// The bound registry's `net.<name>` counter.
+  std::uint64_t counter(const std::string& name) const {
+    return telemetry.registry().counter_value("net." + name);
+  }
+  /// Drops under every reason.
+  std::uint64_t dropped() const {
+    return counter("dropped.sender_crashed") +
+           counter("dropped.receiver_crashed") +
+           counter("dropped.unroutable") + counter("dropped.link_loss") +
+           counter("dropped.partitioned");
+  }
+
+  obs::Observability telemetry;
   Simulator sim;
   Rng rng{99};
   LatencyModel latency{microseconds(100), microseconds(50)};
@@ -254,7 +269,7 @@ TEST_F(NetFixture, DeliversToRegisteredHandler) {
   sim.run();
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0], "hello");
-  EXPECT_EQ(net.stats().messages_delivered, 1u);
+  EXPECT_EQ(counter("messages_delivered"), 1u);
 }
 
 TEST_F(NetFixture, DeliveryTakesLatency) {
@@ -289,10 +304,10 @@ TEST_F(NetFixture, CrashedReceiverDropsInFlight) {
   net.set_crashed(proxy_id(0));
   sim.run();
   EXPECT_EQ(received, 0);
-  EXPECT_EQ(net.stats().messages_dropped, 1u);
-  EXPECT_EQ(net.stats().dropped_receiver_crashed, 1u);
-  EXPECT_EQ(net.stats().dropped_sender_crashed, 0u);
-  EXPECT_EQ(net.stats().dropped_unroutable, 0u);
+  EXPECT_EQ(dropped(), 1u);
+  EXPECT_EQ(counter("dropped.receiver_crashed"), 1u);
+  EXPECT_EQ(counter("dropped.sender_crashed"), 0u);
+  EXPECT_EQ(counter("dropped.unroutable"), 0u);
 }
 
 TEST_F(NetFixture, CrashedSenderCannotSend) {
@@ -306,8 +321,8 @@ TEST_F(NetFixture, CrashedSenderCannotSend) {
   net.send(client_id(0), proxy_id(0), "x");
   sim.run();
   EXPECT_EQ(received, 0);
-  EXPECT_EQ(net.stats().dropped_sender_crashed, 1u);
-  EXPECT_EQ(net.stats().dropped_receiver_crashed, 0u);
+  EXPECT_EQ(counter("dropped.sender_crashed"), 1u);
+  EXPECT_EQ(counter("dropped.receiver_crashed"), 0u);
 }
 
 TEST_F(NetFixture, BroadcastReachesAllTargets) {
@@ -336,13 +351,11 @@ TEST_F(NetFixture, SenderIdentityPassedToHandler) {
 TEST_F(NetFixture, UnregisteredTargetCountsAsDropped) {
   net.send(client_id(0), proxy_id(9), "x");
   sim.run();
-  EXPECT_EQ(net.stats().messages_dropped, 1u);
-  EXPECT_EQ(net.stats().dropped_unroutable, 1u);
+  EXPECT_EQ(dropped(), 1u);
+  EXPECT_EQ(counter("dropped.unroutable"), 1u);
 }
 
 TEST_F(NetFixture, DropReasonsSumToTotalAndMirrorIntoRegistry) {
-  obs::Observability telemetry;
-  net.bind_observability(&telemetry);
   net.register_node(proxy_id(0), [](const NodeId&, const std::string&) {});
   net.register_node(client_id(0), [](const NodeId&, const std::string&) {});
 
@@ -353,23 +366,17 @@ TEST_F(NetFixture, DropReasonsSumToTotalAndMirrorIntoRegistry) {
   net.send(client_id(0), proxy_id(0), "sender dead");
   sim.run();
 
-  const NetworkStats& stats = net.stats();
-  EXPECT_EQ(stats.dropped_unroutable, 1u);
-  EXPECT_EQ(stats.dropped_receiver_crashed, 1u);
-  EXPECT_EQ(stats.dropped_sender_crashed, 1u);
-  EXPECT_EQ(stats.messages_dropped, stats.dropped_sender_crashed +
-                                        stats.dropped_receiver_crashed +
-                                        stats.dropped_unroutable);
-  EXPECT_EQ(stats.messages_sent, 3u);
-  EXPECT_EQ(stats.messages_delivered, 0u);
-
-  // Registry mirrors count only what happened after binding.
-  const obs::MetricRegistry& reg = telemetry.registry();
-  EXPECT_EQ(reg.counter_value("net.messages_sent"), 3u);
-  EXPECT_EQ(reg.counter_value("net.dropped.unroutable"), 1u);
-  EXPECT_EQ(reg.counter_value("net.dropped.receiver_crashed"), 1u);
-  EXPECT_EQ(reg.counter_value("net.dropped.sender_crashed"), 1u);
-  EXPECT_EQ(reg.counter_value("net.messages_delivered"), 0u);
+  // Each drop lands under exactly one reason, so the reasons account for
+  // every sent message that was not delivered.
+  EXPECT_EQ(counter("dropped.unroutable"), 1u);
+  EXPECT_EQ(counter("dropped.receiver_crashed"), 1u);
+  EXPECT_EQ(counter("dropped.sender_crashed"), 1u);
+  EXPECT_EQ(counter("dropped.link_loss"), 0u);
+  EXPECT_EQ(counter("dropped.partitioned"), 0u);
+  EXPECT_EQ(counter("messages_sent"), 3u);
+  EXPECT_EQ(counter("messages_delivered"), 0u);
+  EXPECT_EQ(counter("messages_sent") - counter("messages_delivered"),
+            dropped());
 }
 
 TEST_F(NetFixture, NeverRegisteredEndpointsKeepFifoAndDropOnce) {
@@ -387,9 +394,9 @@ TEST_F(NetFixture, NeverRegisteredEndpointsKeepFifoAndDropOnce) {
   sim.run();
   ASSERT_EQ(received.size(), 100u);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(received[static_cast<size_t>(i)], i);
-  EXPECT_EQ(net.stats().messages_delivered, 100u);
-  EXPECT_EQ(net.stats().dropped_unroutable, 100u);
-  EXPECT_EQ(net.stats().messages_dropped, 100u);
+  EXPECT_EQ(counter("messages_delivered"), 100u);
+  EXPECT_EQ(counter("dropped.unroutable"), 100u);
+  EXPECT_EQ(dropped(), 100u);
 }
 
 TEST_F(NetFixture, FifoClampCarriesAcrossRegistration) {
@@ -433,8 +440,8 @@ TEST_F(NetFixture, CrashCallsOnUnknownIdsAreNoOps) {
   net.send(proxy_id(0), proxy_id(7), "delivered");
   sim.run();
   EXPECT_EQ(received, 2);
-  EXPECT_EQ(net.stats().dropped_sender_crashed, 0u);
-  EXPECT_EQ(net.stats().dropped_unroutable, 1u);
+  EXPECT_EQ(counter("dropped.sender_crashed"), 0u);
+  EXPECT_EQ(counter("dropped.unroutable"), 1u);
 }
 
 TEST_F(NetFixture, HandlerMayRegisterNodesWhileItRuns) {
