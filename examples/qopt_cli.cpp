@@ -23,7 +23,6 @@
 #include "core/cluster.hpp"
 #include "core/nemesis.hpp"
 #include "kv/quorum.hpp"
-#include "obs/profiler.hpp"
 #include "obs/report.hpp"
 #include "obs/span_export.hpp"
 #include "oracle/strategy_optimizer.hpp"
@@ -63,8 +62,6 @@ void usage() {
       "profiling:  --profile          (engine self-profiler: per-subsystem\n"
       "                                cost attribution + queue telemetry in\n"
       "                                the report; see docs/OBSERVABILITY.md)\n"
-      "            --profile-trace FILE  (per-event timeline, Chrome\n"
-      "                                trace_event JSON; implies --profile)\n"
       "faults:     --crash-proxy I --crash-storage I --crash-at S\n"
       "            --anti-entropy\n"
       "            --nemesis [--nemesis-interval MS]  (chaos schedule)\n"
@@ -234,15 +231,9 @@ int main(int argc, char** argv) {
     config.span_sample_every =
         static_cast<std::uint32_t>(flags.get_int("trace-sample", 1));
   }
-  const std::string profile_trace = flags.get_string("profile-trace", "");
-  config.profile = flags.get_bool("profile", false) || !profile_trace.empty();
+  config.profile = flags.get_bool("profile", false);
 
   Cluster cluster(config);
-  if (!profile_trace.empty()) {
-    // Per-event timeline slices; bounded so a long run degrades to a
-    // truncated trace (timeline_dropped in the report) rather than OOM.
-    cluster.obs().profiler().enable_timeline(1u << 20);
-  }
   cluster.preload(objects, object_bytes);
   cluster.set_workload(source);
 
@@ -352,11 +343,6 @@ int main(int argc, char** argv) {
   if (!trace_csv.empty()) {
     write_file(trace_csv, obs::to_span_csv(cluster.obs().spans().completed()),
                "traces (CSV)", cluster.obs().spans().completed().size());
-  }
-  if (!profile_trace.empty()) {
-    const obs::ProfileReport prof = cluster.obs().profiler().report();
-    write_file(profile_trace, cluster.obs().profiler().timeline_chrome_json(),
-               "profile slices (Chrome trace)", prof.timeline_slices);
   }
 
   // One consistent summary for every output mode: the cluster-wide report

@@ -501,7 +501,10 @@ obs::RunReport Cluster::report(Time t0, Time t1) const {
   r.delay_spikes = reg.counter_value("net.delay_spikes");
 
   r.reads_checked = checker_.reads_checked();
-  r.consistency_violations = checker_.violations().size();
+  // The verdict checker_.clean() gives: stale reads plus same-configuration
+  // read/write quorums that do not intersect.
+  r.consistency_violations =
+      checker_.violations().size() + checker_.quorum_violations().size();
 
   r.traces_completed = reg.counter_value("obs.traces_completed");
   r.spans_dropped = reg.counter_value("obs.spans_dropped");

@@ -176,12 +176,7 @@ std::string ProfileReport::to_json() const {
   out.append(std::to_string(max_depth));
   summary_json(out, "depth", queue_depth);
   summary_json(out, "dwell_ns", dwell_ns);
-  out.push_back('}');
-  out.append(",\"timeline_slices\":");
-  out.append(std::to_string(timeline_slices));
-  out.append(",\"timeline_dropped\":");
-  out.append(std::to_string(timeline_dropped));
-  out.push_back('}');
+  out.append("}}");
   return out;
 }
 
@@ -272,26 +267,6 @@ void EngineProfiler::reset() noexcept {
   schedules_ = requeues_ = fifo_clamps_ = max_depth_ = 0;
   depth_.reset();
   dwell_.reset();
-  timeline_.clear();
-  timeline_dropped_ = 0;
-}
-
-void EngineProfiler::enable_timeline(std::size_t limit) {
-  timeline_on_ = limit > 0;
-  timeline_limit_ = limit;
-  timeline_.clear();
-  timeline_.reserve(limit);
-  timeline_dropped_ = 0;
-}
-
-void EngineProfiler::record_slice(ProfSubsystem s, std::uint64_t wall_begin_ns,
-                                  std::uint64_t wall_end_ns) noexcept {
-  if (timeline_.size() < timeline_limit_) {
-    // qopt-perf: allow(vector-growth-hot) capacity reserved by enable_timeline; never grows here
-    timeline_.push_back(Slice{s, wall_begin_ns, wall_end_ns});
-  } else {
-    ++timeline_dropped_;
-  }
 }
 
 void EngineProfiler::set_message_names(const char* const* names,
@@ -329,40 +304,7 @@ ProfileReport EngineProfiler::report() const {
   r.max_depth = max_depth_;
   r.queue_depth = depth_.summary();
   r.dwell_ns = dwell_.summary();
-  r.timeline_slices = timeline_.size();
-  r.timeline_dropped = timeline_dropped_;
   return r;
-}
-
-std::string EngineProfiler::timeline_chrome_json() const {
-  // Same trace_event shape as SpanStore's exporter (src/obs/span_export.cpp):
-  // complete events ("ph":"X") with microsecond ts/dur. Timestamps are
-  // host-relative to the first slice; this export is a visualization aid and
-  // is not covered by the determinism gates.
-  std::string out = "{\"traceEvents\":[";
-  const std::uint64_t origin = timeline_.empty() ? 0 : timeline_[0].begin_ns;
-  for (std::size_t i = 0; i < timeline_.size(); ++i) {
-    const Slice& s = timeline_[i];
-    if (i) out.push_back(',');
-    out.append("{\"name\":\"");
-    out.append(to_string(s.sub));
-    out.append("\",\"cat\":\"engine\",\"ph\":\"X\",\"pid\":1,\"tid\":1");
-    out.append(",\"ts\":");
-    const std::uint64_t ts_ns = s.begin_ns - origin;
-    const std::uint64_t dur_ns = s.end_ns >= s.begin_ns
-                                     ? s.end_ns - s.begin_ns
-                                     : 0;
-    out.append(std::to_string(ts_ns / 1000));
-    out.push_back('.');
-    out.append(std::to_string((ts_ns % 1000) / 100));
-    out.append(",\"dur\":");
-    out.append(std::to_string(dur_ns / 1000));
-    out.push_back('.');
-    out.append(std::to_string((dur_ns % 1000) / 100));
-    out.push_back('}');
-  }
-  out.append("],\"displayTimeUnit\":\"ms\"}\n");
-  return out;
 }
 
 }  // namespace qopt::obs

@@ -170,8 +170,6 @@ struct ProfileReport {
   std::uint64_t max_depth = 0;
   HistogramSummary queue_depth;    // sampled
   HistogramSummary dwell_ns;       // virtual ns between at() and execution
-  std::uint64_t timeline_slices = 0;
-  std::uint64_t timeline_dropped = 0;
 
   /// Zeroes the host-derived fields (per-subsystem wall_ns) so the export
   /// is byte-identical across same-seed reruns (`--deterministic`).
@@ -247,15 +245,6 @@ class EngineProfiler {
     if (type_index < kMaxMessageTypes) ++msg_counts_[type_index];
   }
 
-  // ---- timeline (opt-in visualization; allowed to cost wall-clock reads)
-
-  /// Starts recording wall-clock phase slices for a Chrome trace; at most
-  /// `limit` slices are kept (the rest are counted as dropped).
-  void enable_timeline(std::size_t limit);
-  bool timeline_enabled() const noexcept { return timeline_on_; }
-  void record_slice(ProfSubsystem s, std::uint64_t wall_begin_ns,
-                    std::uint64_t wall_end_ns) noexcept;
-
   // ---- export
 
   /// Injects display names for count_message indices (the obs layer cannot
@@ -264,9 +253,6 @@ class EngineProfiler {
 
   ProfileReport report() const;
 
-  /// Chrome trace_event JSON of the recorded timeline slices.
-  std::string timeline_chrome_json() const;
-
  private:
   struct Phase {
     std::uint64_t events = 0;
@@ -274,14 +260,7 @@ class EngineProfiler {
     std::uint64_t wall_ns = 0;
     std::uint64_t wall_samples = 0;
   };
-  struct Slice {
-    ProfSubsystem sub;
-    std::uint64_t begin_ns;
-    std::uint64_t end_ns;
-  };
-
   bool enabled_ = false;
-  bool timeline_on_ = false;
   bool wall_pending_ = false;
   ProfSubsystem current_ = ProfSubsystem::kEngine;
   std::uint64_t tick_ = 0;
@@ -296,37 +275,17 @@ class EngineProfiler {
   LogHistogram depth_;
   LogHistogram dwell_;
   std::vector<std::string> msg_names_;
-  std::vector<Slice> timeline_;  // reserved up-front by enable_timeline
-  std::size_t timeline_limit_ = 0;
-  std::uint64_t timeline_dropped_ = 0;
 };
 
-/// RAII claim used by component dispatch code (via QOPT_PROFILE_SCOPE).
-/// Claiming is a plain enter(); the destructor only works when the timeline
-/// is on, appending a wall-clock slice for Chrome-trace export.
+/// Claim used by component dispatch code (via QOPT_PROFILE_SCOPE): a plain
+/// enter() while the profiler is on.
 class ProfileScope {
  public:
   ProfileScope(EngineProfiler& profiler, ProfSubsystem s) noexcept {
-    if (!profiler.enabled()) return;
-    profiler.enter(s);
-    if (profiler.timeline_enabled()) {
-      profiler_ = &profiler;
-      sub_ = s;
-      begin_ns_ = detail::profiler_wall_ns();
-    }
-  }
-  ~ProfileScope() {
-    if (profiler_ != nullptr) {
-      profiler_->record_slice(sub_, begin_ns_, detail::profiler_wall_ns());
-    }
+    if (profiler.enabled()) profiler.enter(s);
   }
   ProfileScope(const ProfileScope&) = delete;
   ProfileScope& operator=(const ProfileScope&) = delete;
-
- private:
-  EngineProfiler* profiler_ = nullptr;
-  ProfSubsystem sub_ = ProfSubsystem::kEngine;
-  std::uint64_t begin_ns_ = 0;
 };
 
 }  // namespace qopt::obs

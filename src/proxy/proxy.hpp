@@ -109,9 +109,10 @@ class Proxy {
   /// Crash-recovery: rejoins the network after a crash. Quorum state
   /// (lepno/lcfno, default and override quorums) is durable; in-flight
   /// operations were lost with the crash. A restarted proxy left behind by
-  /// an epoch change re-learns the current configuration through the first
-  /// NACK it receives (Algorithm 6) before any of its operations complete.
-  /// Heartbeats resume if they were enabled.
+  /// an epoch change re-learns the current configuration through a storage
+  /// NACK (Algorithm 6), unless a NEWQ or CONFIRM lifts its epoch number
+  /// first (docs/ROBUSTNESS.md, "Crash-recovery"). Heartbeats resume if
+  /// they were enabled.
   void restart();
   bool crashed() const noexcept { return crashed_; }
 

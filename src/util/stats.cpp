@@ -43,38 +43,6 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-ReservoirSample::ReservoirSample(std::size_t capacity, std::uint64_t seed)
-    : capacity_(capacity ? capacity : 1), rng_(seed) {
-  data_.reserve(capacity_);
-}
-
-void ReservoirSample::add(double x) {
-  ++seen_;
-  if (data_.size() < capacity_) {
-    data_.push_back(x);
-  } else {
-    const std::uint64_t j = rng_.next_below(seen_);
-    if (j < capacity_) data_[static_cast<std::size_t>(j)] = x;
-  }
-  dirty_ = true;
-}
-
-double ReservoirSample::percentile(double pct) const {
-  if (data_.empty()) return 0.0;
-  if (dirty_) {
-    sorted_ = data_;
-    std::sort(sorted_.begin(), sorted_.end());
-    dirty_ = false;
-  }
-  const double clamped = std::clamp(pct, 0.0, 100.0);
-  const double rank =
-      clamped / 100.0 * static_cast<double>(sorted_.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted_.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted_[lo] + (sorted_[hi] - sorted_[lo]) * frac;
-}
-
 MovingAverage::MovingAverage(std::size_t window)
     : window_(window ? window : 1) {}
 

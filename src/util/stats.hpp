@@ -3,11 +3,8 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <vector>
-
-#include "util/rng.hpp"
 
 namespace qopt {
 
@@ -33,31 +30,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Fixed-size uniform reservoir sample supporting approximate percentiles
-/// over unbounded streams (Vitter's Algorithm R).
-class ReservoirSample {
- public:
-  explicit ReservoirSample(std::size_t capacity = 4096,
-                           std::uint64_t seed = 1);
-
-  void add(double x);
-  std::size_t seen() const noexcept { return seen_; }
-  bool empty() const noexcept { return data_.empty(); }
-
-  /// Percentile in [0,100]; linear interpolation between order statistics.
-  /// Returns 0 on an empty reservoir.
-  double percentile(double pct) const;
-  double median() const { return percentile(50.0); }
-
- private:
-  std::size_t capacity_;
-  std::size_t seen_ = 0;
-  std::vector<double> data_;
-  mutable std::vector<double> sorted_;
-  mutable bool dirty_ = false;
-  Rng rng_;
 };
 
 /// Simple moving average over the most recent `window` samples; used by the

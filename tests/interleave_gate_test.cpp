@@ -12,7 +12,8 @@
 //
 // For every explored schedule the gate asserts the full consistency
 // contract:
-//   * zero Dynamic Quorum Consistency violations (stale reads),
+//   * zero Dynamic Quorum Consistency violations (stale reads, and read
+//     and write quorums of one configuration that do not intersect),
 //   * the reconfiguration completes (no stuck two-phase protocol),
 //   * no client is left with an operation in flight after the drain,
 //   * all replicas converge to identical contents once in-flight traffic
@@ -124,7 +125,8 @@ RunOutcome run_schedule(const std::vector<std::size_t>& prefix) {
   cluster.stop_clients();
   cluster.run_for(seconds(1));
 
-  out.violations = cluster.checker().violations().size();
+  out.violations = cluster.checker().violations().size() +
+                   cluster.checker().quorum_violations().size();
   for (std::uint32_t c = 0; c < cluster.num_clients(); ++c) {
     if (cluster.client(c).op_in_flight()) out.client_stuck = true;
     out.ops_completed += cluster.client(c).ops_completed();

@@ -4,8 +4,10 @@
 // JSON.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/cluster.hpp"
 #include "obs/obs.hpp"
@@ -295,6 +297,20 @@ TEST(RunReportTest, ReportAggregatesClusterActivity) {
   EXPECT_NE(rendered.find("throughput"), std::string::npos);
   const std::string json = report.to_json();
   EXPECT_NE(json.find("\"seed\":7"), std::string::npos);
+}
+
+TEST(RunReportTest, ConsistencyVerdictCountsTheIntersectionAudit) {
+  Cluster cluster(small_config(3));
+  EXPECT_EQ(cluster.report().consistency_violations, 0u);
+  // A read quorum that misses the last write's quorum under the same
+  // configuration is a violation even though no read returned stale data.
+  const std::vector<std::uint32_t> written{0, 1};
+  const std::vector<std::uint32_t> read{2, 3};
+  cluster.checker().quorum_used(5, /*is_write=*/true, 4, 0, written);
+  cluster.checker().quorum_used(5, /*is_write=*/false, 4, 0, read);
+  EXPECT_TRUE(cluster.checker().violations().empty());
+  EXPECT_FALSE(cluster.checker().clean());
+  EXPECT_EQ(cluster.report().consistency_violations, 1u);
 }
 
 TEST(RunReportTest, WindowedReportRestrictsWorkloadTotals) {

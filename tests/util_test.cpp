@@ -193,26 +193,6 @@ TEST(RunningStatsTest, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
 }
 
-TEST(ReservoirSampleTest, ExactWhenUnderCapacity) {
-  ReservoirSample sample(100);
-  for (int i = 1; i <= 99; ++i) sample.add(i);
-  EXPECT_DOUBLE_EQ(sample.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(sample.percentile(100), 99.0);
-  EXPECT_DOUBLE_EQ(sample.median(), 50.0);
-}
-
-TEST(ReservoirSampleTest, ApproximatesLargeStream) {
-  ReservoirSample sample(2048, 5);
-  for (int i = 0; i < 100'000; ++i) sample.add(i % 1000);
-  EXPECT_NEAR(sample.median(), 500.0, 50.0);
-  EXPECT_NEAR(sample.percentile(90), 900.0, 50.0);
-}
-
-TEST(ReservoirSampleTest, EmptyReturnsZero) {
-  ReservoirSample sample(10);
-  EXPECT_DOUBLE_EQ(sample.percentile(50), 0.0);
-}
-
 TEST(MovingAverageTest, WindowEviction) {
   MovingAverage avg(3);
   avg.add(1);
