@@ -85,7 +85,7 @@ void AutonomicManager::stop() {
 void AutonomicManager::emit(const std::string& what) {
   if (on_event_) on_event_(sim_.now(), what);
   obs_.spans().instant(obs::Category::kAutonomic, "am_event", "am",
-                        sim_.now(), round_, 0, what);
+                       sim_.now(), round_, 0, what);
 }
 
 void AutonomicManager::begin_round() {

@@ -105,7 +105,7 @@ void Proxy::restart() {
   net_.set_crashed(self_, false);
   ins_.restarts->inc();
   obs_.spans().instant(obs::Category::kMembership, "restart", node_name_,
-                        sim_.now());
+                       sim_.now());
   if (hb_enabled_) heartbeat_loop(++hb_gen_);
 }
 
@@ -400,7 +400,7 @@ void Proxy::launch_op(std::uint64_t op_id, PendingOp& op) {
   op.last_replica = 0;
   op.wait_span =
       obs_.spans().open_span(op.trace_ctx, obs::Phase::kQuorumWait,
-                              "quorum_wait", node_name_, sim_.now());
+                             "quorum_wait", node_name_, sim_.now());
   contact_replicas(op_id, op, op.needed);
   // A NACK re-launch starts from fresh deadlines: the aborted attempt's
   // deadlines died with its op id.
@@ -527,7 +527,7 @@ void Proxy::fire_fallback(std::uint64_t op_id, PendingOp& op) {
   if (op.contacted >= static_cast<int>(op.replica_order.size())) return;
   ins_.fallbacks->inc();
   obs_.spans().instant(obs::Category::kQuorum, "fallback", node_name_,
-                        sim_.now(), op.oid);
+                       sim_.now(), op.oid);
   contact_replicas(op_id, op, static_cast<int>(op.replica_order.size()));
 }
 
@@ -628,7 +628,7 @@ void Proxy::on_quorum_satisfied(PendingOp& op) {
   }
   if (op.wait_span.valid()) {
     obs_.spans().close_span(op.wait_span, now, op.last_replica,
-                             static_cast<std::uint64_t>(excess));
+                            static_cast<std::uint64_t>(excess));
     op.wait_span = obs::SpanContext{};
   }
 }
@@ -698,7 +698,7 @@ void Proxy::maybe_complete_read(std::uint64_t op_id, PendingOp& op) {
       op.last_reply_at = 0;
       op.wait_span =
           obs_.spans().open_span(op.trace_ctx, obs::Phase::kReadRepair,
-                                  "read_repair", node_name_, sim_.now());
+                                 "read_repair", node_name_, sim_.now());
       if (op.received < op.needed) {
         contact_replicas(op_id, op, op.needed);
         op.fallback_at[1] = deadline_after(options_.fallback_timeout);
@@ -833,8 +833,8 @@ void Proxy::handle_new_quorum(const sim::NodeId& from,
     // ack) so the install cannot take effect with a half-understood payload;
     // the RM keeps retransmitting and operators see the stalled handshake.
     obs_.spans().instant(obs::Category::kReconfig, "proxy_newq_version_skew",
-                          node_name_, sim_.now(), msg.epno,
-                          msg.strategy_version);
+                         node_name_, sim_.now(), msg.epno,
+                         msg.strategy_version);
     return;
   }
   if (msg.cfno <= lcfno_) {
@@ -860,7 +860,7 @@ void Proxy::handle_new_quorum(const sim::NodeId& from,
   // previous drain was superseded before its ops completed) is closed here.
   if (drain_span_.valid()) obs_.spans().close_span(drain_span_, sim_.now());
   drain_span_ = obs_.spans().open_span(msg.span, obs::Phase::kProxyDrain,
-                                        "proxy_drain", node_name_, sim_.now());
+                                       "proxy_drain", node_name_, sim_.now());
   pending_change_ = msg.change;
   pending_cfno_ = msg.cfno;
   in_transition_ = true;
@@ -953,7 +953,7 @@ void Proxy::commit_pending_change() {
 
 void Proxy::adopt_full_config(const kv::FullConfig& config) {
   obs_.spans().instant(obs::Category::kReconfig, "proxy_resync", node_name_,
-                        sim_.now(), config.epno, config.cfno);
+                       sim_.now(), config.epno, config.cfno);
   lepno_ = config.epno;
   if (config.cfno >= lcfno_) {
     lcfno_ = config.cfno;

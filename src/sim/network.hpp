@@ -174,9 +174,10 @@ class Network {
   /// network stays unbound so RM-group traffic never reaches `net.*`.
   void bind_observability(obs::Observability* o) {
     obs_ = o;
+    delay_spikes_ = nullptr;
     if (!obs_) {
       sent_ = delivered_ = drop_sender_ = drop_receiver_ = drop_unroutable_ =
-          drop_loss_ = drop_partition_ = duplicated_ = delay_spikes_ = nullptr;
+          drop_loss_ = drop_partition_ = duplicated_ = nullptr;
       return;
     }
     auto& reg = obs_->registry();
@@ -272,7 +273,7 @@ class Network {
   }
 
   void bind_spike_counter() {
-    if (obs_ && delay_spike_p_ > 0 && !delay_spikes_) {
+    if (obs_ && delay_spike_p_ > 0) {
       delay_spikes_ = &obs_->registry().counter("net.delay_spikes");
     }
   }

@@ -124,15 +124,21 @@ TEST_F(NetFixture, EachDelaySpikeIsCountedOnce) {
 }
 
 TEST(NetworkSpikeCounter, BindingAfterSpikesAreOnRegistersIt) {
-  obs::Observability telemetry;
+  obs::Observability first;
+  obs::Observability second;
   sim::Simulator sim;
   sim::Network<int> net{sim, sim::LatencyModel{microseconds(100), 0}, Rng(1)};
   net.register_node(sim::storage_id(1), [](const sim::NodeId&, int) {});
   net.set_delay_spike(1.0, milliseconds(5));
-  net.bind_observability(&telemetry);
+  net.bind_observability(&first);
   net.send(sim::storage_id(0), sim::storage_id(1), 1);
   sim.run();
-  EXPECT_EQ(telemetry.registry().counter_value("net.delay_spikes"), 1u);
+  // Rebinding moves the spike count to the new bundle with the rest.
+  net.bind_observability(&second);
+  net.send(sim::storage_id(0), sim::storage_id(1), 2);
+  sim.run();
+  EXPECT_EQ(first.registry().counter_value("net.delay_spikes"), 1u);
+  EXPECT_EQ(second.registry().counter_value("net.delay_spikes"), 1u);
 }
 
 TEST(ClusterNetworkCounters, SpikeFreeSnapshotHasNoDelaySpikeKey) {
