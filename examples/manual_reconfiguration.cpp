@@ -8,6 +8,8 @@
 #include <cstdio>
 
 #include "core/cluster.hpp"
+#include "kv/quorum.hpp"
+#include "kv/types.hpp"
 #include "workload/workload.hpp"
 
 int main() {
@@ -48,11 +50,11 @@ int main() {
                                             ok ? "committed" : "REJECTED");
                               });
   cluster.run_for(seconds(2));
+  const kv::FullConfig& installed = cluster.rm().config();
+  const kv::QuorumConfig hot = installed.strategy_for(10).footprint();
+  const kv::QuorumConfig cold = installed.strategy_for(99).footprint();
   std::printf("  object 10 now uses R=%d,W=%d; object 99 uses R=%d,W=%d\n",
-              cluster.rm().quorum_footprint_for(10).read_q,
-              cluster.rm().quorum_footprint_for(10).write_q,
-              cluster.rm().quorum_footprint_for(99).read_q,
-              cluster.rm().quorum_footprint_for(99).write_q);
+              hot.read_q, hot.write_q, cold.read_q, cold.write_q);
 
   // ---- an invalid request (R + W <= N) is rejected up front.
   cluster.reconfigure({2, 3}, [&](bool ok) {

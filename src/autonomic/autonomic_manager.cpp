@@ -274,7 +274,7 @@ void AutonomicManager::process_fine_grain(
                           object_stats.avg_size_bytes, window_s);
     if (w <= 0) continue;
     const QuorumConfig target = oracle::grid_from_write_quorum(w, replication_);
-    if (committed().quorum_for(object_stats.oid) != target) {
+    if (committed().config().strategy_for(object_stats.oid) != target) {
       change.overrides.emplace_back(object_stats.oid, target);
     }
   }
@@ -419,7 +419,7 @@ void AutonomicManager::process_steady(
                           object_stats.avg_size_bytes, window_s);
     if (w <= 0) continue;
     const QuorumConfig target = oracle::grid_from_write_quorum(w, replication_);
-    if (committed().quorum_for(object_stats.oid) != target) {
+    if (committed().config().strategy_for(object_stats.oid) != target) {
       auto [it, inserted] =
           last_object_prediction_.try_emplace(object_stats.oid, target);
       if (!options_.drift_hysteresis || (!inserted && it->second == target)) {

@@ -59,19 +59,6 @@ int Nemesis::pick_write_quorum() {
                   static_cast<std::uint64_t>(hi - lo + 1)));
 }
 
-namespace {
-int max_quorum_dimension(const kv::FullConfig& state) {
-  // Footprints bound the servability requirement for explicit strategies
-  // too (any footprint-many live replicas can form the quorum).
-  int m = std::max(state.default_q.read_footprint(),
-                   state.default_q.write_footprint());
-  for (const auto& [oid, q] : state.overrides) {
-    m = std::max({m, q.read_footprint(), q.write_footprint()});
-  }
-  return m;
-}
-}  // namespace
-
 void Nemesis::fire() {
   struct Choice {
     double weight;
@@ -89,14 +76,14 @@ void Nemesis::fire() {
       static_cast<int>(storage_crashed_) + (partition_active_ ? 1 : 0);
   const bool can_crash_storage =
       storage_crashed_ < options_.max_storage_crashes &&
-      max_quorum_dimension(cluster_.rm().config()) <=
+      cluster_.rm().config().max_footprint() <=
           cluster_.config().replication - storage_unavailable - 1;
   // Isolating a storage node is a temporary outage, so it obeys the same
   // quorum-servability margin as a crash; one partition at a time keeps the
   // isolated-set bookkeeping (and the margin math) trivial.
   const bool can_partition =
       !partition_active_ &&
-      max_quorum_dimension(cluster_.rm().config()) <=
+      cluster_.rm().config().max_footprint() <=
           cluster_.config().replication - storage_unavailable - 1;
   const bool can_restart = proxies_crashed_ > 0 || storage_crashed_ > 0;
   // An RM fault needs at least 3 RM replicas (one outage leaves the SMR

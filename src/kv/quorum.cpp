@@ -190,4 +190,64 @@ bool validate_change(const QuorumChange& change, int replication) {
   return true;
 }
 
+const QuorumStrategy& FullConfig::strategy_for(ObjectId oid) const {
+  for (const auto& [object, q] : overrides) {
+    if (object == oid) return q;
+  }
+  return default_q;
+}
+
+int FullConfig::max_read_footprint() const noexcept {
+  int m = default_q.read_footprint();
+  for (const auto& [oid, q] : overrides) m = std::max(m, q.read_footprint());
+  return m;
+}
+
+int FullConfig::max_footprint() const noexcept {
+  int m = std::max(default_q.read_footprint(), default_q.write_footprint());
+  for (const auto& [oid, q] : overrides) {
+    m = std::max({m, q.read_footprint(), q.write_footprint()});
+  }
+  return m;
+}
+
+void FullConfig::apply(const QuorumChange& change) {
+  if (change.is_global) {
+    default_q = change.global;
+    return;
+  }
+  for (const auto& [oid, q] : change.overrides) {
+    const auto it = std::find_if(
+        overrides.begin(), overrides.end(),
+        [oid = oid](const auto& entry) { return entry.first == oid; });
+    if (it != overrides.end()) {
+      it->second = q;
+    } else {
+      overrides.emplace_back(oid, q);
+    }
+  }
+}
+
+void FullConfig::record_read_q(std::uint64_t at, int max_read_q) {
+  const auto it = std::lower_bound(
+      read_q_history.begin(), read_q_history.end(), at,
+      [](const auto& entry, std::uint64_t c) { return entry.first < c; });
+  if (it != read_q_history.end() && it->first == at) {
+    it->second = std::max(it->second, max_read_q);
+  } else {
+    read_q_history.emplace(it, at, max_read_q);
+  }
+}
+
+int FullConfig::max_read_q_since(std::uint64_t from) const noexcept {
+  const auto first = std::lower_bound(
+      read_q_history.begin(), read_q_history.end(), from,
+      [](const auto& entry, std::uint64_t c) { return entry.first < c; });
+  int m = 1;
+  for (auto it = first; it != read_q_history.end(); ++it) {
+    m = std::max(m, it->second);
+  }
+  return m;
+}
+
 }  // namespace qopt::kv

@@ -188,6 +188,24 @@ struct FullConfig {
   /// CONFIRM arrives (or when a later configuration supersedes it).
   bool transitional = false;
   QuorumChange pending;
+
+  /// Strategy installed for `oid`: its override, else the default.
+  const QuorumStrategy& strategy_for(ObjectId oid) const;
+  /// Largest read footprint across the default and the overrides.
+  int max_read_footprint() const noexcept;
+  /// Largest read or write footprint across the default and the overrides:
+  /// a storage quorum of this size meets every quorum in force.
+  int max_footprint() const noexcept;
+  /// Folds `change` in change order: a global change replaces the default;
+  /// a per-object change replaces each named override in place or appends
+  /// it (a later entry for the same object wins).
+  void apply(const QuorumChange& change);
+  /// Records `max_read_q` for configuration `at`; an existing entry keeps
+  /// the larger.
+  void record_read_q(std::uint64_t at, int max_read_q);
+  /// Largest read footprint recorded for any configuration >= `from`;
+  /// never less than 1.
+  int max_read_q_since(std::uint64_t from) const noexcept;
 };
 
 }  // namespace qopt::kv

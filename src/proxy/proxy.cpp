@@ -33,10 +33,10 @@ Proxy::Proxy(sim::Simulator& sim, Net& net, sim::NodeId self,
       pool_(options.servers),
       rng_(mix64(0x70727879ULL ^ self.index)),
       quorum_rng_(mix64(0x71756F72756DULL ^ self.index)),
-      default_q_(options.initial),
       summary_(options.topk_capacity),
       obs_(obs) {
-  read_q_history_[0] = default_q_.read_footprint();
+  config_.default_q = options.initial;
+  config_.record_read_q(0, config_.default_q.read_footprint());
   node_name_ = sim::to_string(self_);
   auto& reg = obs_.registry();
   const std::uint32_t i = self_.index;
@@ -177,17 +177,18 @@ Proxy::PendingOp* Proxy::find_op(std::uint64_t op_id) {
 // ---------------------------------------------------------------- quorums
 
 const kv::QuorumStrategy& Proxy::base_strategy(ObjectId oid) const {
-  auto it = overrides_.find(oid);
-  return it != overrides_.end() ? it->second : default_q_;
+  const std::uint32_t* at = override_index_.find(oid);
+  return at != nullptr ? config_.overrides[*at].second : config_.default_q;
 }
 
 const kv::QuorumStrategy& Proxy::pending_strategy(ObjectId oid) const {
   // The strategy `oid` will have once the pending change commits.
-  if (pending_change_.is_global) {
-    auto it = overrides_.find(oid);
-    return it != overrides_.end() ? it->second : pending_change_.global;
+  const kv::QuorumChange& change = config_.pending;
+  if (change.is_global) {
+    const std::uint32_t* at = override_index_.find(oid);
+    return at != nullptr ? config_.overrides[*at].second : change.global;
   }
-  for (const auto& [changed_oid, q] : pending_change_.overrides) {
+  for (const auto& [changed_oid, q] : change.overrides) {
     if (changed_oid == oid) return q;
   }
   return base_strategy(oid);
@@ -195,7 +196,7 @@ const kv::QuorumStrategy& Proxy::pending_strategy(ObjectId oid) const {
 
 kv::QuorumStrategy Proxy::effective_strategy(ObjectId oid) const {
   const kv::QuorumStrategy& base = base_strategy(oid);
-  if (!in_transition_) return base;
+  if (!config_.transitional) return base;
   // While draining, ops run under the transition quorum: the component-wise
   // max of the old and new grid footprints, which intersects every quorum of
   // both strategies.
@@ -206,29 +207,12 @@ QuorumConfig Proxy::effective_quorum(ObjectId oid) const {
   return effective_strategy(oid).footprint();
 }
 
-int Proxy::current_max_read_q() const {
-  int max_r = default_q_.read_footprint();
-  for (const auto& [oid, q] : overrides_) {
-    max_r = std::max(max_r, q.read_footprint());
+void Proxy::index_overrides() {
+  override_index_.clear();
+  override_index_.reserve(config_.overrides.size());
+  for (std::uint32_t i = 0; i < config_.overrides.size(); ++i) {
+    override_index_.try_emplace(config_.overrides[i].first, i);
   }
-  return max_r;
-}
-
-void Proxy::record_history(std::uint64_t cfno, int max_read_q) {
-  auto [it, inserted] = read_q_history_.emplace(cfno, max_read_q);
-  if (!inserted) it->second = std::max(it->second, max_read_q);
-}
-
-int Proxy::max_read_q_since(std::uint64_t cfno) const {
-  // max over configurations in [cfno, lcfno_]; the map holds every installed
-  // configuration this proxy knows about (gaps are filled by FullConfig
-  // resynchronization).
-  int max_r = 1;
-  for (auto it = read_q_history_.lower_bound(cfno);
-       it != read_q_history_.end(); ++it) {
-    max_r = std::max(max_r, it->second);
-  }
-  return max_r;
 }
 
 // ------------------------------------------------------------- dispatcher
@@ -296,7 +280,7 @@ void Proxy::handle_client_write(const sim::NodeId& from,
     }
     Version version;
     version.ts = kv::Timestamp{sim_.now(), self_.index, ++write_seq_};
-    version.cfno = lcfno_;
+    version.cfno = config_.cfno;
     version.value = req.value;
     version.size_bytes = req.size_bytes;
     start_write(req.oid, version, from, req.req_id, arrival,
@@ -334,8 +318,8 @@ void Proxy::start_write(ObjectId oid, Version version, sim::NodeId client,
 }
 
 void Proxy::launch_op(std::uint64_t op_id, PendingOp& op) {
-  op.epno_used = lepno_;
-  op.cfno_used = lcfno_;
+  op.epno_used = config_.epno;
+  op.cfno_used = config_.cfno;
   op.received = 0;
   op.contacted = 0;
   op.replied.clear();
@@ -348,9 +332,9 @@ void Proxy::launch_op(std::uint64_t op_id, PendingOp& op) {
   // instead of copying its weighted-quorum tables on every operation. The
   // transition composite only exists while a change is draining.
   kv::QuorumStrategy transitional;
-  if (in_transition_) transitional = effective_strategy(op.oid);
+  if (config_.transitional) transitional = effective_strategy(op.oid);
   const kv::QuorumStrategy& strategy =
-      in_transition_ ? transitional : base_strategy(op.oid);
+      config_.transitional ? transitional : base_strategy(op.oid);
   const bool is_read = op.kind == PendingOp::Kind::kRead;
   if (strategy.is_majority()) {
     // Load balancing: rotate the replica list by a hash of the proxy
@@ -672,7 +656,7 @@ void Proxy::handle_read_reply(const sim::NodeId& from,
 void Proxy::maybe_complete_read(std::uint64_t op_id, PendingOp& op) {
   if (!quorum_met(op)) return;
 
-  if (!op.repair && op.any_found && op.best.cfno < lcfno_) {
+  if (!op.repair && op.any_found && op.best.cfno < config_.cfno) {
     // Algorithm 4 lines 10-17: the freshest version was created under an
     // older configuration; if the replies in hand are fewer than the largest
     // read-quorum footprint installed since, re-read with that quorum to
@@ -682,7 +666,7 @@ void Proxy::maybe_complete_read(std::uint64_t op_id, PendingOp& op) {
     // so the skip condition counts replies, not the drawn-quorum size:
     // received >= old_r replies intersect every write quorum of the writing
     // configuration by counting.
-    const int old_r = max_read_q_since(op.best.cfno);
+    const int old_r = config_.max_read_q_since(op.best.cfno);
     if (old_r > op.received) {
       on_quorum_satisfied(op);  // the first-phase quorum is in hand
       op.repair = true;
@@ -731,7 +715,7 @@ void Proxy::handle_write_reply(const sim::NodeId& from,
 
 void Proxy::handle_nack(const kv::EpochNack& nack) {
   ins_.nacks_received->inc();
-  if (nack.config.epno > lepno_) adopt_full_config(nack.config);
+  if (nack.config.epno > config_.epno) adopt_full_config(nack.config);
   if (PendingOp* op = find_op(nack.op_id)) retry_op(nack.op_id, *op);
 }
 
@@ -751,7 +735,7 @@ void Proxy::retry_op(std::uint64_t op_id, PendingOp& op) {
   }
   if (op.kind != PendingOp::Kind::kRead) {
     // Re-tag the version with the configuration it is (re)written under.
-    op.write_version.cfno = lcfno_;
+    op.write_version.cfno = config_.cfno;
   }
   // The same slot, re-keyed: the new id is the largest, so it lists at the
   // tail of the index.
@@ -808,7 +792,7 @@ void Proxy::finish_op(std::uint64_t op_id, PendingOp& op) {
   // the write-back is asynchronous w.r.t. the client reply).
   if (is_read && op.repair && op.any_found) {
     Version wb = op.best;
-    wb.cfno = lcfno_;
+    wb.cfno = config_.cfno;
     // The write-back is its own trace: it outlives the client op and has no
     // queueing phase.
     const obs::SpanContext wb_trace = obs_.spans().start_trace(
@@ -837,7 +821,7 @@ void Proxy::handle_new_quorum(const sim::NodeId& from,
                          msg.strategy_version);
     return;
   }
-  if (msg.cfno <= lcfno_) {
+  if (msg.cfno <= config_.cfno) {
     if (drain_waiting_ && msg.cfno == drain_cfno_) {
       // RM retransmission of the NEWQ whose drain is still in progress:
       // acking now would defeat the drain, so stay silent — the pending
@@ -849,7 +833,7 @@ void Proxy::handle_new_quorum(const sim::NodeId& from,
     net_.send(self_, from, kv::AckNewQuorumMsg{msg.epno, msg.cfno});
     return;
   }
-  if (in_transition_) {
+  if (config_.transitional) {
     // The previous reconfiguration was finalized via an epoch change we did
     // not observe directly; its transition quorum dominated both old and new
     // quorums, so committing it before adopting the next change is safe.
@@ -861,31 +845,24 @@ void Proxy::handle_new_quorum(const sim::NodeId& from,
   if (drain_span_.valid()) obs_.spans().close_span(drain_span_, sim_.now());
   drain_span_ = obs_.spans().open_span(msg.span, obs::Phase::kProxyDrain,
                                        "proxy_drain", node_name_, sim_.now());
-  pending_change_ = msg.change;
-  pending_cfno_ = msg.cfno;
-  in_transition_ = true;
-  lcfno_ = msg.cfno;
-  lepno_ = std::max(lepno_, msg.epno);
 
   // Record the read-quorum footprint of the configuration being installed
-  // (set Q of Algorithm 3/4). For per-object changes we conservatively
-  // record the max read footprint across the post-change state.
-  int new_max_r;
-  if (pending_change_.is_global) {
-    new_max_r = pending_change_.global.read_footprint();
-    for (const auto& [oid, q] : overrides_) {
-      new_max_r = std::max(new_max_r, q.read_footprint());
-    }
-  } else {
-    new_max_r = default_q_.read_footprint();
-    for (const auto& [oid, q] : overrides_) {
-      new_max_r = std::max(new_max_r, q.read_footprint());
-    }
-    for (const auto& [oid, q] : pending_change_.overrides) {
-      new_max_r = std::max(new_max_r, q.read_footprint());
-    }
+  // (set Q of Algorithm 3/4). A global change records the largest read
+  // footprint after the change. A per-object change conservatively records
+  // the larger of the before and after values, which exceeds the RM's entry
+  // when the change lowers the largest override; the NACK merge keeps the
+  // larger of the two.
+  kv::FullConfig after = config_;
+  after.apply(msg.change);
+  int new_max_r = after.max_read_footprint();
+  if (!msg.change.is_global) {
+    new_max_r = std::max(new_max_r, config_.max_read_footprint());
   }
-  record_history(msg.cfno, new_max_r);
+  config_.pending = msg.change;
+  config_.transitional = true;
+  config_.cfno = msg.cfno;
+  config_.epno = std::max(config_.epno, msg.epno);
+  config_.record_read_q(msg.cfno, new_max_r);
 
   // Drain: acknowledge only when every operation issued under the old
   // quorum has completed (Algorithm 3 line 14). New operations proceed
@@ -933,46 +910,36 @@ void Proxy::handle_confirm(const sim::NodeId& from, const kv::ConfirmMsg& msg) {
                         node_name_, sim_.now());
     spans.close_span(marker, sim_.now(), msg.epno, msg.cfno);
   }
-  if (in_transition_ && msg.cfno == pending_cfno_) {
+  if (config_.transitional && msg.cfno == config_.cfno) {
     commit_pending_change();
-    lepno_ = std::max(lepno_, msg.epno);
+    config_.epno = std::max(config_.epno, msg.epno);
   }
   net_.send(self_, from, kv::AckConfirmMsg{msg.epno, msg.cfno});
 }
 
 void Proxy::commit_pending_change() {
-  if (pending_change_.is_global) {
-    default_q_ = pending_change_.global;
-  } else {
-    for (const auto& [oid, q] : pending_change_.overrides) {
-      overrides_[oid] = q;
-    }
-  }
-  in_transition_ = false;
+  config_.apply(config_.pending);
+  config_.transitional = false;
+  index_overrides();
 }
 
 void Proxy::adopt_full_config(const kv::FullConfig& config) {
   obs_.spans().instant(obs::Category::kReconfig, "proxy_resync", node_name_,
                        sim_.now(), config.epno, config.cfno);
-  lepno_ = config.epno;
-  if (config.cfno >= lcfno_) {
-    lcfno_ = config.cfno;
-    default_q_ = config.default_q;
-    overrides_.clear();
-    for (const auto& [oid, q] : config.overrides) overrides_.emplace(oid, q);
-    if (config.transitional) {
-      // Phase-1 epoch-change payload: we now run with the transition
-      // quorums; commit the pending change when the CONFIRM arrives (or
-      // when a later NEWQ supersedes it).
-      in_transition_ = true;
-      pending_change_ = config.pending;
-      pending_cfno_ = config.cfno;
-    } else {
-      in_transition_ = false;
-    }
+  config_.epno = config.epno;
+  if (config.cfno >= config_.cfno) {
+    // A transitional (phase-1 epoch-change) payload leaves us running with
+    // the transition quorums; the pending change commits when the CONFIRM
+    // arrives, or when a later NEWQ supersedes it.
+    config_.cfno = config.cfno;
+    config_.default_q = config.default_q;
+    config_.overrides = config.overrides;
+    config_.transitional = config.transitional;
+    config_.pending = config.pending;
+    index_overrides();
   }
   for (const auto& [cfno, max_r] : config.read_q_history) {
-    record_history(cfno, max_r);
+    config_.record_read_q(cfno, max_r);
   }
 }
 
@@ -998,7 +965,7 @@ void Proxy::note_access(ObjectId oid, bool is_write, std::uint64_t size) {
   if (auto it = monitored_stats_.find(oid); it != monitored_stats_.end()) {
     update(it->second);
   }
-  if (!overrides_.contains(oid)) update(tail_);
+  if (!override_index_.contains(oid)) update(tail_);
 }
 
 void Proxy::handle_new_round(const sim::NodeId& from,
@@ -1024,7 +991,8 @@ void Proxy::send_round_stats(const sim::NodeId& am, std::uint64_t round) {
   // Candidate hotspots: heaviest keys that are not already individually
   // optimized or under monitoring (they go to the AM for the *next* round).
   for (const topk::TopKEntry& entry : summary_.top(summary_.capacity())) {
-    if (overrides_.contains(entry.key) || monitored_.contains(entry.key)) {
+    if (override_index_.contains(entry.key) ||
+        monitored_.contains(entry.key)) {
       continue;
     }
     msg.topk.push_back(kv::TopKReport{entry.key, entry.count, entry.error});

@@ -45,6 +45,7 @@
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "topk/space_saving.hpp"
+#include "util/flat_table.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
@@ -129,14 +130,14 @@ class Proxy {
   void set_heartbeat_target(sim::NodeId target) { hb_target_ = target; }
 
   // ------------------------------------------------------------ inspection
-  std::uint64_t epoch() const noexcept { return lepno_; }
-  std::uint64_t cfno() const noexcept { return lcfno_; }
-  bool in_transition() const noexcept { return in_transition_; }
+  std::uint64_t epoch() const noexcept { return config_.epno; }
+  std::uint64_t cfno() const noexcept { return config_.cfno; }
+  bool in_transition() const noexcept { return config_.transitional; }
   kv::QuorumConfig default_quorum() const noexcept {
-    return default_q_.footprint();
+    return config_.default_q.footprint();
   }
   const kv::QuorumStrategy& default_strategy() const noexcept {
-    return default_q_;
+    return config_.default_q;
   }
   /// Grid footprint of the quorum used for `oid` right now (includes
   /// transition logic); the sizes legacy call sites reason about.
@@ -147,7 +148,9 @@ class Proxy {
   /// Pending-op slots allocated so far: the high-water mark of in-flight
   /// operations (slots are recycled, never freed).
   std::size_t op_slots() const noexcept { return op_slab_.size(); }
-  std::size_t override_count() const noexcept { return overrides_.size(); }
+  std::size_t override_count() const noexcept {
+    return config_.overrides.size();
+  }
 
  private:
   /// Ordered set of replica indices on a flat vector. Reply fan-in is a
@@ -351,9 +354,8 @@ class Proxy {
   void handle_confirm(const sim::NodeId& from, const kv::ConfirmMsg&);
   void commit_pending_change();
   void adopt_full_config(const kv::FullConfig& config);
-  void record_history(std::uint64_t cfno, int max_read_q);
-  int max_read_q_since(std::uint64_t cfno) const;
-  int current_max_read_q() const;
+  /// Rebuilds override_index_ after config_.overrides changed.
+  void index_overrides();
   void op_completed_for_drain();
 
   // ------------------------------------------------------------ monitoring
@@ -385,17 +387,13 @@ class Proxy {
   /// cannot perturb the retransmit-jitter sequence of unrelated ops.
   Rng quorum_rng_;
 
-  // Quorum state (Algorithm 3 variables).
-  std::uint64_t lepno_ = 0;
-  std::uint64_t lcfno_ = 0;
-  kv::QuorumStrategy default_q_;
-  // Ordered: reconfiguration paths iterate the override table, and the
-  // iteration order feeds protocol decisions (read-quorum history).
-  std::map<kv::ObjectId, kv::QuorumStrategy> overrides_;
-  bool in_transition_ = false;
-  kv::QuorumChange pending_change_;
-  std::uint64_t pending_cfno_ = 0;
-  std::map<std::uint64_t, int> read_q_history_;  // cfno -> max read quorum
+  // Quorum state (Algorithm 3 variables): lepno and lcfno are config_.epno
+  // and config_.cfno. While config_.transitional is set, config_.cfno is the
+  // cfno of config_.pending, and ops run under the transition quorums.
+  kv::FullConfig config_;
+  // oid -> position in config_.overrides: launch_op and note_access look an
+  // override up on every op, and autotuned runs hold dozens of them.
+  FlatTable<std::uint32_t> override_index_;
 
   // Drain state for the NEWQ handshake.
   bool drain_waiting_ = false;

@@ -60,13 +60,6 @@ void ReconfigManager::begin_phase_span(obs::Phase phase, const char* name) {
   phase_span_ = spans.open_span(round_trace_, phase, name, "rm", sim_.now());
 }
 
-const kv::QuorumStrategy& ReconfigManager::quorum_for(kv::ObjectId oid) const {
-  for (const auto& [object, q] : canonical_.overrides) {
-    if (object == oid) return q;
-  }
-  return canonical_.default_q;
-}
-
 void ReconfigManager::start_next() {
   if (queue_.empty() || phase_ != Phase::kIdle || !leader_active_) return;
   // The head stays queued until its commit is decided, so an abandoned
@@ -153,62 +146,21 @@ FullConfig ReconfigManager::post_change_state() const {
 FullConfig ReconfigManager::post_change_state_for(const QuorumChange& change,
                                                   std::uint64_t cfno) const {
   FullConfig state = canonical_;
-  if (change.is_global) {
-    state.default_q = change.global;
-  } else {
-    for (const auto& [oid, q] : change.overrides) {
-      bool replaced = false;
-      for (auto& [existing_oid, existing_q] : state.overrides) {
-        if (existing_oid == oid) {
-          existing_q = q;
-          replaced = true;
-          break;
-        }
-      }
-      if (!replaced) state.overrides.emplace_back(oid, q);
-    }
-  }
+  state.apply(change);
   state.cfno = cfno;
-  state.read_q_history.emplace_back(cfno, max_read_q(state));
+  state.record_read_q(cfno, state.max_read_footprint());
   return state;
 }
 
 FullConfig ReconfigManager::transition_state() const {
   // Component-wise max of old and new quorums, per object: the transition
   // quorum intersects the read and write quorums of both configurations.
-  FullConfig next = post_change_state();
-  FullConfig state = next;
-  state.default_q = kv::transition(canonical_.default_q, next.default_q);
+  FullConfig state = post_change_state();
+  state.default_q = kv::transition(canonical_.default_q, state.default_q);
   for (auto& [oid, q] : state.overrides) {
-    // Old effective strategy for this object.
-    kv::QuorumStrategy old_q = canonical_.default_q;
-    for (const auto& [old_oid, candidate] : canonical_.overrides) {
-      if (old_oid == oid) {
-        old_q = candidate;
-        break;
-      }
-    }
-    q = kv::transition(old_q, q);
+    q = kv::transition(canonical_.strategy_for(oid), q);
   }
   return state;
-}
-
-int ReconfigManager::max_quorum_dimension(const FullConfig& state) {
-  const QuorumConfig d = state.default_q.footprint();
-  int m = std::max(d.read_q, d.write_q);
-  for (const auto& [oid, q] : state.overrides) {
-    const QuorumConfig fp = q.footprint();
-    m = std::max({m, fp.read_q, fp.write_q});
-  }
-  return m;
-}
-
-int ReconfigManager::max_read_q(const FullConfig& state) {
-  int m = state.default_q.read_footprint();
-  for (const auto& [oid, q] : state.overrides) {
-    m = std::max(m, q.read_footprint());
-  }
-  return m;
 }
 
 // ------------------------------------------------------------- message i/o
@@ -327,7 +279,7 @@ void ReconfigManager::begin_epoch_change(bool after_phase1) {
     payload = post_change_state();
   }
   epoch_quorum_needed_ =
-      max_quorum_dimension(after_phase1 ? canonical_ : payload);
+      (after_phase1 ? canonical_ : payload).max_footprint();
   epoch_payload_ = payload;
 
   // The epoch bump is a canonical-state decision: log it so epochs stay

@@ -87,12 +87,6 @@ class ReconfigManager {
   /// Canonical committed configuration (source of truth for NEWEP payloads
   /// and for the Autonomic Manager's view of installed quorums).
   const kv::FullConfig& config() const noexcept { return canonical_; }
-  /// Strategy installed for `oid` (override, else the default).
-  const kv::QuorumStrategy& quorum_for(kv::ObjectId oid) const;
-  /// Grid footprint of quorum_for() — the sizes legacy callers reason about.
-  kv::QuorumConfig quorum_footprint_for(kv::ObjectId oid) const {
-    return quorum_for(oid).footprint();
-  }
   bool busy() const noexcept { return phase_ != Phase::kIdle; }
   /// Requests waiting behind the in-flight round. The queue keeps the head
   /// until its commit is decided (so a new leader can re-drive it), hence
@@ -150,10 +144,6 @@ class ReconfigManager {
   /// Transition state: per-object kv::transition of current and post-change
   /// (component-wise max of grid footprints).
   kv::FullConfig transition_state() const;
-  /// Largest read or write quorum footprint across default and overrides of
-  /// a state: a storage quorum of this size meets every in-flight quorum.
-  static int max_quorum_dimension(const kv::FullConfig& state);
-  static int max_read_q(const kv::FullConfig& state);
 
   sim::Simulator& sim_;
   Net& net_;

@@ -148,8 +148,10 @@ TEST(ProtocolEdgeTest, PerObjectAndGlobalChangesInterleavedUnderLoad) {
   cluster.reconfigure_objects({{1, {3, 3}}});
   cluster.reconfigure({2, 4});
   cluster.run_for(seconds(5));
-  EXPECT_EQ(cluster.rm().quorum_for(1), (kv::QuorumConfig::of(3, 3)));
-  EXPECT_EQ(cluster.rm().quorum_for(2), (kv::QuorumConfig::of(1, 5)));
+  EXPECT_EQ(cluster.rm().config().strategy_for(1),
+            (kv::QuorumConfig::of(3, 3)));
+  EXPECT_EQ(cluster.rm().config().strategy_for(2),
+            (kv::QuorumConfig::of(1, 5)));
   EXPECT_EQ(cluster.rm().config().default_q, (kv::QuorumConfig::of(2, 4)));
   for (std::uint32_t i = 0; i < 2; ++i) {
     EXPECT_EQ(cluster.proxy(i).effective_quorum(1), (kv::QuorumConfig::of(3, 3)));

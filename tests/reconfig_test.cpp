@@ -129,9 +129,12 @@ TEST(ReconfigTest, PerObjectOverridesInstalled) {
   Cluster cluster(small_config());
   cluster.reconfigure_objects({{100, {5, 1}}, {200, {3, 3}}});
   cluster.run_for(seconds(1));
-  EXPECT_EQ(cluster.rm().quorum_for(100), (kv::QuorumConfig::of(5, 1)));
-  EXPECT_EQ(cluster.rm().quorum_for(200), (kv::QuorumConfig::of(3, 3)));
-  EXPECT_EQ(cluster.rm().quorum_for(300), (kv::QuorumConfig::of(1, 5)));
+  EXPECT_EQ(cluster.rm().config().strategy_for(100),
+            (kv::QuorumConfig::of(5, 1)));
+  EXPECT_EQ(cluster.rm().config().strategy_for(200),
+            (kv::QuorumConfig::of(3, 3)));
+  EXPECT_EQ(cluster.rm().config().strategy_for(300),
+            (kv::QuorumConfig::of(1, 5)));
   for (std::uint32_t i = 0; i < 3; ++i) {
     EXPECT_EQ(cluster.proxy(i).effective_quorum(100),
               (kv::QuorumConfig::of(5, 1)));
@@ -143,7 +146,8 @@ TEST(ReconfigTest, OverrideReplacedByLaterChange) {
   cluster.reconfigure_objects({{100, {5, 1}}});
   cluster.reconfigure_objects({{100, {2, 4}}});
   cluster.run_for(seconds(1));
-  EXPECT_EQ(cluster.rm().quorum_for(100), (kv::QuorumConfig::of(2, 4)));
+  EXPECT_EQ(cluster.rm().config().strategy_for(100),
+            (kv::QuorumConfig::of(2, 4)));
   // The canonical override list must not contain duplicates.
   EXPECT_EQ(cluster.rm().config().overrides.size(), 1u);
 }
@@ -153,7 +157,8 @@ TEST(ReconfigTest, GlobalChangeKeepsOverrides) {
   cluster.reconfigure_objects({{100, {5, 1}}});
   cluster.reconfigure({3, 3});
   cluster.run_for(seconds(1));
-  EXPECT_EQ(cluster.rm().quorum_for(100), (kv::QuorumConfig::of(5, 1)));
+  EXPECT_EQ(cluster.rm().config().strategy_for(100),
+            (kv::QuorumConfig::of(5, 1)));
   EXPECT_EQ(cluster.rm().config().default_q, (kv::QuorumConfig::of(3, 3)));
 }
 
