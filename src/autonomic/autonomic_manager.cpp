@@ -132,7 +132,7 @@ std::optional<oracle::WorkloadFeatures> AutonomicManager::features_for(
     std::uint64_t reads, std::uint64_t writes, double avg_size,
     double window_s) const {
   const std::uint64_t total = reads + writes;
-  if (total < options_.min_samples_per_object) return std::nullopt;
+  if (total < kMinSamplesPerObject) return std::nullopt;
   oracle::WorkloadFeatures features;
   features.write_ratio =
       static_cast<double>(writes) / static_cast<double>(total);
@@ -226,7 +226,6 @@ void AutonomicManager::process_round() {
                              : (avg_latency > 0 ? 1.0 / avg_latency : 0.0);
   const double kpi =
       options_.filter_kpi_outliers ? kpi_filter_.filter(raw_kpi) : raw_kpi;
-  kpi_trend_.update(kpi);
   if (have_kpi_ && last_kpi_ > 0) {
     improvements_.push_back((kpi - last_kpi_) / last_kpi_);
     if (improvements_.size() > options_.improvement_window) {
@@ -345,33 +344,26 @@ void AutonomicManager::finish_fine_grain(const TailStats& tail) {
 
   auto after = [this, generation = generation_](bool) {
     if (!running_ || generation != generation_) return;
-    if (options_.steady_monitoring) {
-      broadcast_new_topk({});
-      schedule_next_round(true);
-    } else {
-      running_ = false;
-      emit("autonomic manager finished");
-    }
+    broadcast_new_topk({});
+    schedule_next_round(true);
   };
 
-  if (options_.tail_optimization) {
-    const double window_s = to_seconds(options_.round_window);
-    const auto target = predict_tail_strategy(tail, window_s);
-    if (target && committed().config().default_q != *target) {
-      ins_.tail_reconfigs->inc();
-      if (target->is_majority()) {
-        emit("tail reconfiguration to R=" +
-             std::to_string(target->grid.read_q) +
-             " W=" + std::to_string(target->grid.write_q));
-      } else {
-        emit("tail reconfiguration to " + target->describe());
-      }
-      QuorumChange change;
-      change.is_global = true;
-      change.global = *target;
-      rm_.change_configuration(std::move(change), after);
-      return;
+  const double window_s = to_seconds(options_.round_window);
+  const auto target = predict_tail_strategy(tail, window_s);
+  if (target && committed().config().default_q != *target) {
+    ins_.tail_reconfigs->inc();
+    if (target->is_majority()) {
+      emit("tail reconfiguration to R=" +
+           std::to_string(target->grid.read_q) +
+           " W=" + std::to_string(target->grid.write_q));
+    } else {
+      emit("tail reconfiguration to " + target->describe());
     }
+    QuorumChange change;
+    change.is_global = true;
+    change.global = *target;
+    rm_.change_configuration(std::move(change), after);
+    return;
   }
   after(false);
 }

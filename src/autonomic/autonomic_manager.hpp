@@ -59,10 +59,7 @@ struct AutonomicOptions {
   double improvement_threshold = 0.02;   // θ
   std::size_t improvement_window = 2;    // γ
   Duration quarantine = seconds(5);      // settle time after a reconfig
-  std::uint64_t min_samples_per_object = 10;
   oracle::QuorumConstraints constraints;
-  bool tail_optimization = true;
-  bool steady_monitoring = true;
   double restart_drop_fraction = 0.25;   // KPI drop that restarts tuning
   Kpi kpi = Kpi::kThroughput;
   // Robustness add-ons (Section 4's suggested techniques):
@@ -97,12 +94,6 @@ class AutonomicManager {
   bool converged() const noexcept { return mode_ == Mode::kSteady; }
   std::uint64_t round() const noexcept { return round_; }
   double last_kpi() const noexcept { return last_kpi_; }
-  /// Holt forecast of the KPI (observability / what-if tooling).
-  const TrendPredictor& kpi_trend() const noexcept { return kpi_trend_; }
-  const OutlierFilter& kpi_filter() const noexcept { return kpi_filter_; }
-  const ShiftDetector& workload_shift() const noexcept {
-    return workload_shift_;
-  }
 
  private:
   enum class Mode { kFineGrain, kSteady };
@@ -128,6 +119,7 @@ class AutonomicManager {
               double window_s) const;
   /// Workload characterization for the Oracle; nullopt below the sample
   /// floor.
+  static constexpr std::uint64_t kMinSamplesPerObject = 10;
   std::optional<oracle::WorkloadFeatures> features_for(
       std::uint64_t reads, std::uint64_t writes, double avg_size,
       double window_s) const;
@@ -182,7 +174,6 @@ class AutonomicManager {
   // Robust signal processing over the autonomic loop's inputs.
   OutlierFilter kpi_filter_;
   ShiftDetector workload_shift_;   // watches the tail write ratio
-  TrendPredictor kpi_trend_;
 
   // Observability: counters cached at construction, bumped on the hot path.
   obs::Observability& obs_;

@@ -94,7 +94,6 @@ class Client {
   workload::Operation pending_op_;
   Time issued_at_ = 0;
   kv::Timestamp read_snapshot_;
-  kv::Timestamp write_ts_pending_;  // filled on completion for the checker
 
   // Proxy-failover check: at most one pending event per client; the
   // in-flight request fails over at sent_at_ + retry_timeout_.

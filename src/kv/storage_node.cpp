@@ -206,24 +206,12 @@ void StorageNode::handle_write(const sim::NodeId& from,
   sim_.at(done, [this, from, oid, op_id, version, inc = incarnation_] {
     QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kStorage);
     if (crashed_ || inc != incarnation_) return;
-    // Apply-or-discard at service completion: newer timestamps win; an older
-    // write is discarded but still acknowledged (Section 2.1).
-    auto [stored, inserted] = store_.try_emplace(oid, version);
-    if (!inserted) {
-      if (version.ts > stored->ts) {
-        *stored = version;
-        ins_.writes_applied->inc();
-      } else if (version.ts == stored->ts && version.cfno > stored->cfno) {
-        // Same write re-propagated under a newer configuration (the
-        // read-repair write-back of Algorithm 4): refresh the cfno tag so
-        // future reads need not repeat the historical-quorum read.
-        stored->cfno = version.cfno;
-        ins_.writes_applied->inc();
-      } else {
-        ins_.writes_discarded->inc();
-      }
-    } else {
+    // Apply-or-discard at service completion: an older write is discarded
+    // but still acknowledged (Section 2.1).
+    if (apply_freshest(oid, version)) {
       ins_.writes_applied->inc();
+    } else {
+      ins_.writes_discarded->inc();
     }
     // Bounded window; proxy op-ids grow monotonically, so evicting the
     // smallest ids loses only the oldest (least likely to re-arrive) ones.
@@ -239,16 +227,26 @@ Time StorageNode::replicate_in(ObjectId oid, const Version& version) {
   sim_.at(done, [this, oid, version, inc = incarnation_] {
     QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kStorage);
     if (crashed_ || inc != incarnation_) return;
-    auto [stored, inserted] = store_.try_emplace(oid, version);
-    if (!inserted) {
-      if (version.ts > stored->ts) {
-        *stored = version;
-      } else if (version.ts == stored->ts && version.cfno > stored->cfno) {
-        stored->cfno = version.cfno;
-      }
-    }
+    apply_freshest(oid, version);
   });
   return done;
+}
+
+bool StorageNode::apply_freshest(ObjectId oid, const Version& version) {
+  auto [stored, inserted] = store_.try_emplace(oid, version);
+  if (inserted) return true;
+  if (version.ts > stored->ts) {
+    *stored = version;
+    return true;
+  }
+  if (version.ts == stored->ts && version.cfno > stored->cfno) {
+    // Same write re-propagated under a newer configuration (the read-repair
+    // write-back of Algorithm 4): refresh the cfno tag so future reads need
+    // not repeat the historical-quorum read.
+    stored->cfno = version.cfno;
+    return true;
+  }
+  return false;
 }
 
 void StorageNode::handle_new_epoch(const sim::NodeId& from,

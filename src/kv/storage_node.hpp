@@ -106,6 +106,10 @@ class StorageNode {
   void handle_write(const sim::NodeId& from, const StorageWriteReq& req);
   void handle_new_epoch(const sim::NodeId& from, const NewEpochMsg& msg);
   void send_nack(const sim::NodeId& to, std::uint64_t op_id);
+  /// The freshest-wins rule: stores `version` when the object is new or the
+  /// timestamp is newer, refreshes the cfno tag when the same write arrives
+  /// under a newer configuration. Returns false when it discards `version`.
+  bool apply_freshest(ObjectId oid, const Version& version);
 
   sim::Simulator& sim_;
   Net& net_;

@@ -959,9 +959,8 @@ void Proxy::note_access(ObjectId oid, bool is_write, std::uint64_t size) {
       ++counters.size_count;
     }
   };
-  // monitored_stats_ holds exactly the monitored_ keys (handle_new_topk
-  // pre-populates them), so a single find() replaces contains + operator[]
-  // and never allocates on this per-operation path.
+  // handle_new_topk pre-populates monitored_stats_, so a single find()
+  // never allocates on this per-operation path.
   if (auto it = monitored_stats_.find(oid); it != monitored_stats_.end()) {
     update(it->second);
   }
@@ -992,7 +991,7 @@ void Proxy::send_round_stats(const sim::NodeId& am, std::uint64_t round) {
   // optimized or under monitoring (they go to the AM for the *next* round).
   for (const topk::TopKEntry& entry : summary_.top(summary_.capacity())) {
     if (override_index_.contains(entry.key) ||
-        monitored_.contains(entry.key)) {
+        monitored_stats_.contains(entry.key)) {
       continue;
     }
     msg.topk.push_back(kv::TopKReport{entry.key, entry.count, entry.error});
@@ -1026,10 +1025,8 @@ void Proxy::send_round_stats(const sim::NodeId& am, std::uint64_t round) {
 }
 
 void Proxy::handle_new_topk(const kv::NewTopKMsg& msg) {
-  monitored_.clear();
   monitored_stats_.clear();
   for (ObjectId oid : msg.monitored) {
-    monitored_.insert(oid);
     monitored_stats_.emplace(oid, ObjCounters{});
   }
 }

@@ -29,7 +29,6 @@
 #include <functional>
 #include <map>
 #include <span>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -431,15 +430,15 @@ class Proxy {
 
   // Monitoring state (Section 4).
   topk::SpaceSaving summary_;
-  std::unordered_set<kv::ObjectId> monitored_;
   struct ObjCounters {
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
     double size_sum = 0;
     std::uint64_t size_count = 0;
   };
-  // Ordered: per-object rows are exported verbatim into RoundStatsMsg, so
-  // iteration order is part of the wire payload the AM consumes.
+  // The monitored hotspot set of the last NEWTOPK and its counters. Ordered:
+  // per-object rows are exported verbatim into RoundStatsMsg, so iteration
+  // order is part of the wire payload the AM consumes.
   std::map<kv::ObjectId, ObjCounters> monitored_stats_;
   ObjCounters tail_;
   std::uint64_t round_ops_completed_ = 0;
