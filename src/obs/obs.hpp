@@ -21,9 +21,9 @@ class Observability {
   const EngineProfiler& profiler() const noexcept { return profiler_; }
 
  private:
-  // Registry first: the span store mirrors its counters there.
+  // Registry first: the span store counts there.
   MetricRegistry registry_;
-  SpanStore spans_{&registry_};
+  SpanStore spans_{registry_};
   EngineProfiler profiler_;
 };
 

@@ -10,16 +10,15 @@
 
 namespace qopt::obs {
 
-SpanStore::SpanStore(MetricRegistry* registry) {
-  if (!registry) return;
-  dropped_counter_ = &registry->counter("obs.spans_dropped");
-  completed_counter_ = &registry->counter("obs.traces_completed");
-  evicted_counter_ = &registry->counter("obs.traces_evicted");
-  forced_counter_ = &registry->counter("obs.spans_forced_closed");
+SpanStore::SpanStore(MetricRegistry& registry)
+    : dropped_counter_(&registry.counter("obs.spans_dropped")),
+      completed_counter_(&registry.counter("obs.traces_completed")),
+      evicted_counter_(&registry.counter("obs.traces_evicted")),
+      forced_counter_(&registry.counter("obs.spans_forced_closed")) {
   for (std::size_t p = 0; p < kNumPhases; ++p) {
     const std::string name =
         std::string("obs.phase.") + to_string(static_cast<Phase>(p)) + "_ns";
-    phase_hist_[p] = &registry->histogram(name);
+    phase_hist_[p] = &registry.histogram(name);
   }
 }
 
@@ -56,8 +55,7 @@ SpanContext SpanStore::start_trace(TraceKind kind, std::string_view name,
   const std::uint64_t id = next_trace_id_++;
   if (id % every != 0) return {};
   if (live_spans_ >= max_live_spans_) {
-    ++spans_dropped_;
-    if (dropped_counter_) dropped_counter_->inc();
+    dropped_counter_->inc();
     return {};
   }
   LiveTrace trace;
@@ -74,7 +72,6 @@ SpanContext SpanStore::start_trace(TraceKind kind, std::string_view name,
   trace.spans.push_back(std::move(root));
   live_.emplace(id, std::move(trace));
   ++live_spans_;
-  ++traces_started_;
   return SpanContext{id, 1};
 }
 
@@ -87,8 +84,7 @@ SpanContext SpanStore::open_span(SpanContext parent, Phase phase,
   LiveTrace& trace = it->second;
   if (parent.span_id == 0 || parent.span_id > trace.spans.size()) return {};
   if (live_spans_ >= max_live_spans_) {
-    ++spans_dropped_;
-    if (dropped_counter_) dropped_counter_->inc();
+    dropped_counter_->inc();
     return {};
   }
   Span span;
@@ -122,8 +118,8 @@ void SpanStore::close_span(SpanContext span, Time at, std::uint64_t a,
 }
 
 void SpanStore::note_closed(const Span& span) {
-  LatencyHistogram* hist = phase_hist_[static_cast<std::size_t>(span.phase)];
-  if (hist) hist->record(static_cast<double>(span.duration()));
+  phase_hist_[static_cast<std::size_t>(span.phase)]->record(
+      static_cast<double>(span.duration()));
 }
 
 void SpanStore::end_trace(SpanContext root, Time at) {
@@ -143,8 +139,7 @@ void SpanStore::end_trace(SpanContext root, Time at) {
     span.end = at >= span.start ? at : span.start;
     if (span.span_id != 1) {
       ++done.forced_closes;
-      ++spans_forced_closed_;
-      if (forced_counter_) forced_counter_->inc();
+      forced_counter_->inc();
     }
     note_closed(span);
   }
@@ -153,12 +148,10 @@ void SpanStore::end_trace(SpanContext root, Time at) {
   live_.erase(it);
 
   completed_.push_back(std::move(done));
-  ++traces_completed_;
-  if (completed_counter_) completed_counter_->inc();
+  completed_counter_->inc();
   while (completed_.size() > max_completed_) {
     completed_.pop_front();
-    ++traces_evicted_;
-    if (evicted_counter_) evicted_counter_->inc();
+    evicted_counter_->inc();
   }
 }
 

@@ -47,11 +47,11 @@ struct CompletedTrace {
 
 class SpanStore {
  public:
-  /// When a registry is given the store mirrors its counters there
-  /// (`obs.spans_dropped`, `obs.traces_completed`, `obs.traces_evicted`,
-  /// `obs.spans_forced_closed`) and records per-phase duration histograms
-  /// (`obs.phase.<phase>_ns`) on every span close.
-  explicit SpanStore(MetricRegistry* registry = nullptr);
+  /// The store counts in `registry`, which must outlive it:
+  /// `obs.spans_dropped`, `obs.traces_completed`, `obs.traces_evicted` and
+  /// `obs.spans_forced_closed`, plus a per-phase duration histogram
+  /// (`obs.phase.<phase>_ns`) recorded on every span close.
+  explicit SpanStore(MetricRegistry& registry);
 
   // ------------------------------------------------------------- sampling
   /// 0 disables the kind (default); N samples every Nth trace, decided by
@@ -105,12 +105,17 @@ class SpanStore {
   }
   std::size_t live_traces() const noexcept { return live_.size(); }
   std::size_t live_spans() const noexcept { return live_spans_; }
-  std::uint64_t traces_started() const noexcept { return traces_started_; }
-  std::uint64_t traces_completed() const noexcept { return traces_completed_; }
-  std::uint64_t traces_evicted() const noexcept { return traces_evicted_; }
-  std::uint64_t spans_dropped() const noexcept { return spans_dropped_; }
+  std::uint64_t traces_completed() const noexcept {
+    return completed_counter_->value();
+  }
+  std::uint64_t traces_evicted() const noexcept {
+    return evicted_counter_->value();
+  }
+  std::uint64_t spans_dropped() const noexcept {
+    return dropped_counter_->value();
+  }
   std::uint64_t spans_forced_closed() const noexcept {
-    return spans_forced_closed_;
+    return forced_counter_->value();
   }
 
   /// Drops all live and completed traces and buffered instants (sampling
@@ -137,13 +142,7 @@ class SpanStore {
   std::size_t max_completed_ = 4096;
   std::size_t live_spans_ = 0;
 
-  std::uint64_t traces_started_ = 0;
-  std::uint64_t traces_completed_ = 0;
-  std::uint64_t traces_evicted_ = 0;
-  std::uint64_t spans_dropped_ = 0;
-  std::uint64_t spans_forced_closed_ = 0;
-
-  // Registry mirrors (null when constructed without a registry).
+  // The store's counters, owned by the registry.
   Counter* dropped_counter_ = nullptr;
   Counter* completed_counter_ = nullptr;
   Counter* evicted_counter_ = nullptr;

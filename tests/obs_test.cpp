@@ -146,7 +146,8 @@ TEST(MetricRegistryTest, ExportsEnumerateInNameOrder) {
 // ---------------------------------------------------------- instant events
 
 TEST(InstantEventTest, OffWhileTheStoreIsInactive) {
-  obs::SpanStore store;
+  obs::MetricRegistry registry;
+  obs::SpanStore store(registry);
   store.instant(obs::Category::kMembership, "crash", "proxy.1", 5);
   EXPECT_TRUE(store.instants(obs::Category::kMembership).empty());
 
@@ -169,7 +170,8 @@ TEST(InstantEventTest, OffWhileTheStoreIsInactive) {
 }
 
 TEST(InstantEventTest, FloodInOneCategoryNeverEvictsAnother) {
-  obs::SpanStore store;
+  obs::MetricRegistry registry;
+  obs::SpanStore store(registry);
   store.enable_all();
   store.set_limits(/*max_live_spans=*/16, /*max_completed=*/4);
   store.instant(obs::Category::kMembership, "crash", "proxy.1", 1);

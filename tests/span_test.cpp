@@ -37,7 +37,8 @@ using obs::TraceKind;
 // ---------------------------------------------------------------- SpanStore
 
 TEST(SpanStore, SamplesEveryNthTraceByTraceId) {
-  SpanStore store;
+  obs::MetricRegistry registry;
+  SpanStore store(registry);
   store.enable_all(3);
   std::set<std::uint64_t> sampled;
   for (int i = 0; i < 9; ++i) {
@@ -51,7 +52,8 @@ TEST(SpanStore, SamplesEveryNthTraceByTraceId) {
 }
 
 TEST(SpanStore, DisabledKindCostsNothing) {
-  SpanStore store;
+  obs::MetricRegistry registry;
+  SpanStore store(registry);
   store.set_sampling(TraceKind::kWrite, 1);
   EXPECT_TRUE(store.active());
   const SpanContext read = store.start_trace(TraceKind::kRead, "op", "n", 0);
@@ -68,7 +70,8 @@ TEST(SpanStore, DisabledKindCostsNothing) {
 }
 
 TEST(SpanStore, LiveCapRefusesOpensAndCountsDrops) {
-  SpanStore store;
+  obs::MetricRegistry registry;
+  SpanStore store(registry);
   store.enable_all(1);
   store.set_limits(/*max_live_spans=*/2, /*max_completed=*/16);
   const SpanContext root = store.start_trace(TraceKind::kRead, "op", "n", 0);
@@ -83,6 +86,8 @@ TEST(SpanStore, LiveCapRefusesOpensAndCountsDrops) {
   // A whole new trace is refused too (its root would exceed the cap).
   EXPECT_FALSE(store.start_trace(TraceKind::kWrite, "op", "n", 2).valid());
   EXPECT_EQ(store.spans_dropped(), 2u);
+  // The registry is the only store of the count.
+  EXPECT_EQ(registry.counter_value("obs.spans_dropped"), 2u);
   // Ending the trace frees the budget again.
   store.end_trace(root, 3);
   EXPECT_EQ(store.live_spans(), 0u);
@@ -90,7 +95,8 @@ TEST(SpanStore, LiveCapRefusesOpensAndCountsDrops) {
 }
 
 TEST(SpanStore, EndTraceForceClosesAndBalances) {
-  SpanStore store;
+  obs::MetricRegistry registry;
+  SpanStore store(registry);
   store.enable_all(1);
   const SpanContext root = store.start_trace(TraceKind::kWrite, "op", "n", 10);
   const SpanContext wait =
@@ -124,7 +130,8 @@ TEST(SpanStore, EndTraceForceClosesAndBalances) {
 }
 
 TEST(SpanStore, CompletedRingEvictsOldest) {
-  SpanStore store;
+  obs::MetricRegistry registry;
+  SpanStore store(registry);
   store.enable_all(1);
   store.set_limits(64, /*max_completed=*/2);
   for (int i = 0; i < 5; ++i) {
@@ -139,7 +146,8 @@ TEST(SpanStore, CompletedRingEvictsOldest) {
 // ------------------------------------------------------------ critical path
 
 TEST(CriticalPath, DeepestSpanWinsAndPhasesSumExactly) {
-  SpanStore store;
+  obs::MetricRegistry registry;
+  SpanStore store(registry);
   store.enable_all(1);
   // root [0,100] -> quorum_wait [10,60] -> replica_read [20,40].
   const SpanContext root = store.start_trace(TraceKind::kRead, "op", "p", 0);
@@ -162,7 +170,8 @@ TEST(CriticalPath, DeepestSpanWinsAndPhasesSumExactly) {
 }
 
 TEST(CriticalPath, StragglerComesFromSlowestQuorumWait) {
-  SpanStore store;
+  obs::MetricRegistry registry;
+  SpanStore store(registry);
   store.enable_all(1);
   const SpanContext root = store.start_trace(TraceKind::kRead, "op", "p", 0);
   const SpanContext first =
