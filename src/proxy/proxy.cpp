@@ -280,7 +280,7 @@ void Proxy::handle_client_write(const sim::NodeId& from,
     }
     Version version;
     version.ts = kv::Timestamp{sim_.now(), self_.index, ++write_seq_};
-    version.cfno = config_.cfno;
+    version.cfno = committed_cfno();
     version.value = req.value;
     version.size_bytes = req.size_bytes;
     start_write(req.oid, version, from, req.req_id, arrival,
@@ -734,8 +734,9 @@ void Proxy::retry_op(std::uint64_t op_id, PendingOp& op) {
     spans.close_span(marker, sim_.now(), op.oid);
   }
   if (op.kind != PendingOp::Kind::kRead) {
-    // Re-tag the version with the configuration it is (re)written under.
-    op.write_version.cfno = config_.cfno;
+    // Re-tag the version with the configuration it is (re)written under;
+    // its timestamp stays the original one.
+    op.write_version.cfno = committed_cfno();
   }
   // The same slot, re-keyed: the new id is the largest, so it lists at the
   // tail of the index.
@@ -792,7 +793,7 @@ void Proxy::finish_op(std::uint64_t op_id, PendingOp& op) {
   // the write-back is asynchronous w.r.t. the client reply).
   if (is_read && op.repair && op.any_found) {
     Version wb = op.best;
-    wb.cfno = config_.cfno;
+    wb.cfno = committed_cfno();
     // The write-back is its own trace: it outlives the client op and has no
     // queueing phase.
     const obs::SpanContext wb_trace = obs_.spans().start_trace(

@@ -365,6 +365,16 @@ class Proxy {
 
   const kv::QuorumStrategy& base_strategy(kv::ObjectId oid) const;
   const kv::QuorumStrategy& pending_strategy(kv::ObjectId oid) const;
+  /// The cfno a written version carries: the committed configuration's.
+  /// While a change drains, config_.cfno is the pending cfno, which the RM
+  /// always proposes as the committed cfno + 1. A proxy that has not seen
+  /// the NEWQ yet may still complete a fresher write under the committed,
+  /// smaller write quorum; tagged with the pending cfno, the older version
+  /// would look current to reads under the new configuration, which would
+  /// skip the Algorithm-4 repair and miss that fresher write.
+  std::uint64_t committed_cfno() const noexcept {
+    return config_.transitional ? config_.cfno - 1 : config_.cfno;
+  }
 
   sim::Simulator& sim_;
   Net& net_;

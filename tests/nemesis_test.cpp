@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
+#include "autonomic/autonomic_manager.hpp"
 #include "core/cluster.hpp"
 #include "core/nemesis.hpp"
 #include "obs/registry.hpp"
+#include "oracle/strategy_optimizer.hpp"
+#include "util/time.hpp"
 #include "workload/workload.hpp"
 
 namespace qopt {
@@ -109,6 +113,37 @@ TEST_P(NemesisChaos, ConsistencyAndLivenessUnderDenseChaos) {
   cluster.run_for(seconds(2));
   EXPECT_GT(cluster.metrics().total_ops(), ops_before)
       << "cluster wedged after the chaos schedule";
+}
+
+// The explicit-strategy chaos command of CI with seed 6: the AM installs
+// optimizer strategies (2 s rounds) while the nemesis reconfigures every
+// ~250 ms. A write re-tagged on its NACK retry with the cfno of a draining
+// change used to look current to reads under the new, smaller read quorum:
+// they skipped the repair and missed a fresher write that another proxy
+// completed under the committed write quorum, which gave two stale reads.
+TEST(NemesisExplicitStrategy, SeedSixReadsStayFreshAcrossTransitions) {
+  ClusterConfig config;
+  config.seed = 6;
+  Cluster cluster(config);
+  cluster.preload(10'000, 4096);
+  cluster.set_workload(workload::ycsb_a(10'000, 4096));
+  autonomic::AutonomicOptions tuning;
+  tuning.round_window = seconds(2);
+  cluster.enable_autotuning(
+      tuning, std::make_shared<oracle::StrategyOptimizer>(config.replication));
+  NemesisOptions chaos;
+  chaos.mean_interval = milliseconds(250);
+  chaos.seed = config.seed;
+  Nemesis nemesis(cluster, chaos);
+  nemesis.start();
+  cluster.run_for(seconds(27));
+
+  EXPECT_GT(cluster.checker().reads_checked(), 10'000u);
+  EXPECT_TRUE(cluster.checker().violations().empty())
+      << cluster.checker().violations().size() << " stale reads";
+  EXPECT_TRUE(cluster.checker().quorum_violations().empty())
+      << cluster.checker().quorum_violations().size()
+      << " intersection-audit violations";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -350,6 +350,35 @@ TEST_F(ProxyHarness, BackToBackNewQuorumCommitsPrevious) {
   EXPECT_EQ(proxy->default_quorum(), (QuorumConfig::of(3, 3)));
 }
 
+TEST_F(ProxyHarness, WritesDuringATransitionCarryTheCommittedCfno) {
+  // While cfno 1 drains, a version is tagged with the committed cfno 0:
+  // reads under cfno 1 then treat it as older than their configuration and
+  // repair against cfno 0's write quorums instead of trusting it.
+  net.send(sim::rm_id(), sim::proxy_id(0),
+           kv::NewQuorumMsg{0, 1,
+                            kv::QuorumChange{true, QuorumConfig::of(5, 1), {}},
+                            {}});
+  sim.run();
+  ASSERT_TRUE(proxy->in_transition());
+  client_write(7, 1, 111);  // transition quorum {5,5}: every replica
+  sim.run();
+  ASSERT_EQ(replicas_holding(7), kStorage);
+  for (const auto& node : storage) EXPECT_EQ(node->peek(7)->cfno, 0u);
+
+  net.send(sim::rm_id(), sim::proxy_id(0), kv::ConfirmMsg{0, 1, {}});
+  sim.run();
+  ASSERT_FALSE(proxy->in_transition());
+  client_write(7, 2, 222);  // W=1 under the committed cfno 1
+  sim.run();
+  int fresh = 0;
+  for (const auto& node : storage) {
+    if (node->peek(7)->value != 222u) continue;
+    ++fresh;
+    EXPECT_EQ(node->peek(7)->cfno, 1u);
+  }
+  EXPECT_EQ(fresh, 1);
+}
+
 TEST_F(ProxyHarness, CrashedProxyStopsResponding) {
   proxy->crash();
   client_read(7, 1);
