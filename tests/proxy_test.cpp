@@ -379,6 +379,28 @@ TEST_F(ProxyHarness, WritesDuringATransitionCarryTheCommittedCfno) {
   EXPECT_EQ(fresh, 1);
 }
 
+TEST_F(ProxyHarness, PerObjectNewqRecordsTheLargerOfBeforeAndAfter) {
+  // A per-object change's history entry is the larger of the largest read
+  // footprint before and after it: lowering object 7 from R=5 to R=1 at
+  // cfno 2 still records 5 there, so once a later change lands, a version
+  // tagged 2 is repaired with R=5.
+  const auto per_object = [](kv::ObjectId oid, QuorumConfig q) {
+    kv::QuorumChange change;
+    change.is_global = false;
+    change.overrides = {{oid, q}};
+    return change;
+  };
+  install(0, 1, per_object(7, QuorumConfig::of(5, 1)));
+  install(0, 2, per_object(7, QuorumConfig::of(1, 5)));
+  client_write(8, 1, 111);  // W=5 under cfno 2
+  sim.run();
+  install(0, 3, per_object(9, QuorumConfig::of(1, 5)));
+  const auto repairs = proxy_metric("repair_reads");
+  client_read(8, 2);  // R=1 finds the cfno-2 version under cfno 3
+  sim.run();
+  EXPECT_EQ(proxy_metric("repair_reads"), repairs + 1);
+}
+
 TEST_F(ProxyHarness, CrashedProxyStopsResponding) {
   proxy->crash();
   client_read(7, 1);

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -120,6 +121,64 @@ TEST(QuorumStrategyTest, TransitionGeneralizesComponentwiseMax) {
   EXPECT_TRUE(t2.is_majority());
   EXPECT_GE(t2.grid.read_q, e.read_footprint());
   EXPECT_GE(t2.grid.write_q, e.write_footprint());
+}
+
+// ------------------------------------------- the configuration algebra
+
+TEST(FullConfigTest, ApplyFoldsAChangeInChangeOrder) {
+  kv::FullConfig config;
+  config.default_q = QuorumConfig::of(3, 3);
+  kv::QuorumChange per_object;
+  per_object.is_global = false;
+  per_object.overrides = {{7, QuorumConfig::of(5, 1)},
+                          {9, QuorumConfig::of(2, 4)},
+                          {7, QuorumConfig::of(4, 2)}};  // a later entry wins
+  config.apply(per_object);
+  ASSERT_EQ(config.overrides.size(), 2u);
+  EXPECT_EQ(config.overrides[0].first, 7u);
+  EXPECT_EQ(config.strategy_for(7), QuorumConfig::of(4, 2));
+  EXPECT_EQ(config.strategy_for(9), QuorumConfig::of(2, 4));
+  EXPECT_EQ(config.strategy_for(8), QuorumConfig::of(3, 3));  // the default
+
+  kv::QuorumChange replace;
+  replace.is_global = false;
+  replace.overrides = {{9, QuorumConfig::of(1, 5)}};
+  config.apply(replace);  // in place: the list keeps its order
+  EXPECT_EQ(config.overrides[1].first, 9u);
+  EXPECT_EQ(config.strategy_for(9), QuorumConfig::of(1, 5));
+
+  kv::QuorumChange global;
+  global.global = QuorumConfig::of(2, 4);
+  config.apply(global);  // replaces the default, keeps the overrides
+  EXPECT_EQ(config.default_q, QuorumConfig::of(2, 4));
+  EXPECT_EQ(config.overrides.size(), 2u);
+}
+
+TEST(FullConfigTest, FootprintsSpanTheDefaultAndEveryOverride) {
+  kv::FullConfig config;
+  config.default_q = QuorumConfig::of(2, 4);
+  EXPECT_EQ(config.max_read_footprint(), 2);
+  EXPECT_EQ(config.max_footprint(), 4);
+  config.overrides = {{1, QuorumConfig::of(4, 2)}, {2, QuorumConfig::of(3, 3)}};
+  EXPECT_EQ(config.max_read_footprint(), 4);
+  EXPECT_EQ(config.max_footprint(), 4);
+  config.overrides.emplace_back(3, QuorumConfig::of(1, 5));
+  EXPECT_EQ(config.max_footprint(), 5);
+}
+
+TEST(FullConfigTest, ReadQuorumHistoryMergesAndQueriesSuffixes) {
+  kv::FullConfig config;
+  EXPECT_EQ(config.max_read_q_since(0), 1);  // never less than 1
+  config.record_read_q(0, 2);
+  config.record_read_q(4, 3);
+  config.record_read_q(2, 5);  // out of order: inserted in cfno order
+  config.record_read_q(4, 1);  // an existing entry keeps the larger value
+  const std::vector<std::pair<std::uint64_t, int>> want = {
+      {0, 2}, {2, 5}, {4, 3}};
+  EXPECT_EQ(config.read_q_history, want);
+  EXPECT_EQ(config.max_read_q_since(0), 5);
+  EXPECT_EQ(config.max_read_q_since(3), 3);
+  EXPECT_EQ(config.max_read_q_since(5), 1);
 }
 
 // --------------------------------------------- property: sampling is safe
