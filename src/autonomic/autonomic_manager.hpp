@@ -117,9 +117,10 @@ class AutonomicManager {
   /// data to act.
   int predict(std::uint64_t reads, std::uint64_t writes, double avg_size,
               double window_s) const;
-  /// Workload characterization for the Oracle; nullopt below the sample
-  /// floor.
+  /// Fewest operations a profile needs before the Oracle sees it.
   static constexpr std::uint64_t kMinSamplesPerObject = 10;
+  /// Workload characterization for the Oracle; nullopt below
+  /// kMinSamplesPerObject.
   std::optional<oracle::WorkloadFeatures> features_for(
       std::uint64_t reads, std::uint64_t writes, double avg_size,
       double window_s) const;

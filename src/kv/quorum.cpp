@@ -54,6 +54,11 @@ const WeightedQuorum& sample(const std::vector<WeightedQuorum>& set,
   return set.back();  // numeric slack: point landed exactly on `total`
 }
 
+// Orders read-quorum history entries by cfno, for std::lower_bound.
+constexpr auto kBeforeCfno = [](const auto& entry, std::uint64_t cfno) {
+  return entry.first < cfno;
+};
+
 }  // namespace
 
 QuorumStrategy QuorumStrategy::majority(int r, int w,
@@ -229,9 +234,8 @@ void FullConfig::apply(const QuorumChange& change) {
 }
 
 void FullConfig::record_read_q(std::uint64_t at, int max_read_q) {
-  const auto it = std::lower_bound(
-      read_q_history.begin(), read_q_history.end(), at,
-      [](const auto& entry, std::uint64_t c) { return entry.first < c; });
+  const auto it = std::lower_bound(read_q_history.begin(),
+                                   read_q_history.end(), at, kBeforeCfno);
   if (it != read_q_history.end() && it->first == at) {
     it->second = std::max(it->second, max_read_q);
   } else {
@@ -240,11 +244,10 @@ void FullConfig::record_read_q(std::uint64_t at, int max_read_q) {
 }
 
 int FullConfig::max_read_q_since(std::uint64_t from) const noexcept {
-  const auto first = std::lower_bound(
-      read_q_history.begin(), read_q_history.end(), from,
-      [](const auto& entry, std::uint64_t c) { return entry.first < c; });
   int m = 1;
-  for (auto it = first; it != read_q_history.end(); ++it) {
+  for (auto it = std::lower_bound(read_q_history.begin(),
+                                  read_q_history.end(), from, kBeforeCfno);
+       it != read_q_history.end(); ++it) {
     m = std::max(m, it->second);
   }
   return m;
