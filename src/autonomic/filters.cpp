@@ -99,30 +99,4 @@ void ShiftDetector::reset() {
   cum_up_ = cum_down_ = min_up_ = max_down_ = 0;
 }
 
-// ---------------------------------------------------------- TrendPredictor
-
-TrendPredictor::TrendPredictor(double alpha, double beta)
-    : alpha_(alpha), beta_(beta) {}
-
-void TrendPredictor::update(double sample) {
-  ++count_;
-  if (count_ == 1) {
-    level_ = sample;
-    trend_ = 0;
-    return;
-  }
-  const double prev_level = level_;
-  level_ = alpha_ * sample + (1 - alpha_) * (level_ + trend_);
-  trend_ = beta_ * (level_ - prev_level) + (1 - beta_) * trend_;
-}
-
-double TrendPredictor::forecast(std::size_t steps) const {
-  return level_ + static_cast<double>(steps) * trend_;
-}
-
-void TrendPredictor::reset() {
-  level_ = trend_ = 0;
-  count_ = 0;
-}
-
 }  // namespace qopt::autonomic

@@ -3,17 +3,15 @@
 // Section 4 of the paper: "the system may be made more robust by
 // introducing techniques to filter out outliers [20], detect statistically
 // relevant shifts of system's metrics [32], or predict future workload
-// trends [22]". This module provides all three:
+// trends [22]". This module provides the first two, which the Autonomic
+// Manager uses:
 //
 //  * OutlierFilter   — Hampel-style rejector: samples further than
 //    `threshold` scaled MADs from the rolling median are replaced by the
 //    median (momentary spikes never reach the optimizer);
 //  * ShiftDetector   — two-sided Page-Hinkley test: flags a statistically
 //    sustained change of the monitored metric's mean, far more robust than
-//    a single-sample threshold;
-//  * TrendPredictor  — Holt double exponential smoothing: short-horizon
-//    forecast of a KPI or workload feature, letting the manager tune for
-//    where the workload is heading.
+//    a single-sample threshold.
 #pragma once
 
 #include <cstddef>
@@ -77,27 +75,6 @@ class ShiftDetector {
   double min_up_ = 0;
   double max_down_ = 0;
   std::size_t shifts_ = 0;
-};
-
-class TrendPredictor {
- public:
-  /// Holt's linear method: `alpha` smooths the level, `beta` the trend.
-  explicit TrendPredictor(double alpha = 0.5, double beta = 0.3);
-
-  void update(double sample);
-  /// Forecast `steps` rounds ahead (0 = current smoothed level).
-  double forecast(std::size_t steps = 1) const;
-  bool ready() const noexcept { return count_ >= 2; }
-  double level() const noexcept { return level_; }
-  double trend() const noexcept { return trend_; }
-  void reset();
-
- private:
-  double alpha_;
-  double beta_;
-  double level_ = 0;
-  double trend_ = 0;
-  std::size_t count_ = 0;
 };
 
 }  // namespace qopt::autonomic

@@ -233,6 +233,20 @@ void FullConfig::apply(const QuorumChange& change) {
   }
 }
 
+FullConfig FullConfig::with_pending(const QuorumChange& change,
+                                    std::uint64_t at) const {
+  FullConfig after = *this;
+  after.apply(change);
+  int max_r = after.max_read_footprint();
+  if (!change.is_global) max_r = std::max(max_r, max_read_footprint());
+  FullConfig state = *this;
+  state.cfno = at;
+  state.transitional = true;
+  state.pending = change;
+  state.record_read_q(at, max_r);
+  return state;
+}
+
 void FullConfig::record_read_q(std::uint64_t at, int max_read_q) {
   const auto it = std::lower_bound(read_q_history.begin(),
                                    read_q_history.end(), at, kBeforeCfno);

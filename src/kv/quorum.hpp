@@ -16,7 +16,7 @@
 // the (r, w) pair such that ANY r replicas intersect every write quorum and
 // ANY w replicas intersect every read quorum, by counting.
 //
-// Used by the Reconfiguration Manager (validation, transition state), the
+// Used by the Reconfiguration Manager (validation, NEWQ payloads), the
 // SMR ConfigStateMachine (deterministic re-validation), the proxy (quorum
 // drawing), and the consistency checker (intersection audit). Do not
 // re-implement intersection logic elsewhere.
@@ -74,9 +74,9 @@ struct WeightedQuorum {
 ///     draws a quorum from the selection distribution with its seeded RNG.
 struct QuorumStrategy {
   enum class Kind : std::uint8_t { kMajority = 0, kExplicit = 1 };
-  /// Bumped when the NEWQ/NEWEP strategy encoding changes shape; consumers
-  /// reject payloads from the future (see docs/PROTOCOL.md).
-  static constexpr std::uint8_t kWireVersion = 1;
+  /// Bumped when the NEWQ/NEWEP encoding changes shape; consumers reject
+  /// payloads from the future (see docs/PROTOCOL.md).
+  static constexpr std::uint8_t kWireVersion = 2;
 
   Kind kind = Kind::kMajority;
   QuorumConfig grid{1, 1};             // kMajority
@@ -161,6 +161,8 @@ struct QuorumChange {
   bool is_global = true;
   QuorumStrategy global;  // valid when is_global
   std::vector<std::pair<ObjectId, QuorumStrategy>> overrides;  // otherwise
+
+  friend bool operator==(const QuorumChange&, const QuorumChange&) = default;
 };
 
 /// Validation shared by the Reconfiguration Manager and the replicated
@@ -168,10 +170,11 @@ struct QuorumChange {
 bool validate_change(const QuorumChange& change, int replication);
 
 /// Complete quorum state as known by the Reconfiguration Manager. Carried on
-/// NEWEP messages (and echoed in storage NACKs) so that a proxy that missed
-/// an arbitrary number of reconfigurations while falsely suspected can
-/// resynchronize in one step — including the read-quorum history needed by
-/// the Algorithm-4 repair path (see DESIGN.md, deviation notes).
+/// NEWQ and NEWEP messages (and echoed in storage NACKs) so that a proxy
+/// that missed an arbitrary number of reconfigurations while falsely
+/// suspected can resynchronize in one step — including the read-quorum
+/// history needed by the Algorithm-4 repair path (see DESIGN.md, deviation
+/// notes).
 struct FullConfig {
   std::uint64_t epno = 0;
   std::uint64_t cfno = 0;
@@ -182,12 +185,19 @@ struct FullConfig {
   /// overrides); monotone prefix used by the read-repair rule. Sorted by
   /// cfno ascending.
   std::vector<std::pair<std::uint64_t, int>> read_q_history;
-  /// Set on the payload of a phase-1 epoch change: default_q/overrides hold
-  /// the *transition* quorums of an in-flight reconfiguration, and `pending`
-  /// is the change a resynchronizing proxy must commit when the matching
-  /// CONFIRM arrives (or when a later configuration supersedes it).
+  /// Set while a change drains: default_q/overrides hold the committed
+  /// configuration, `pending` is the change being installed at `cfno`, and
+  /// a proxy runs the transition of the two (kv::transition, per object)
+  /// until the matching CONFIRM commits `pending`.
   bool transitional = false;
   QuorumChange pending;
+
+  /// The configuration a proxy runs while `change` drains at `at` (the NEWQ
+  /// and phase-1 NEWEP payload): this committed state, transitional with
+  /// `change` pending, plus the change's read-quorum history entry. A global
+  /// change records the largest read footprint after it; a per-object change
+  /// the larger of before and after.
+  FullConfig with_pending(const QuorumChange& change, std::uint64_t at) const;
 
   /// Strategy installed for `oid`: its override, else the default.
   const QuorumStrategy& strategy_for(ObjectId oid) const;
@@ -206,6 +216,8 @@ struct FullConfig {
   /// Largest read footprint recorded for any configuration >= `from`;
   /// never less than 1.
   int max_read_q_since(std::uint64_t from) const noexcept;
+
+  friend bool operator==(const FullConfig&, const FullConfig&) = default;
 };
 
 }  // namespace qopt::kv

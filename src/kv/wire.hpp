@@ -93,13 +93,19 @@ struct EpochNack {
 struct NewQuorumMsg {  // NEWQ
   std::uint64_t epno = 0;
   std::uint64_t cfno = 0;
+  /// The change being installed; `config.pending` carries it too, and the
+  /// proxy reads only `config`. Kept because wire fields are never removed.
   QuorumChange change;
   /// RM phase-1 span: proxies parent their drain spans under it.
   obs::SpanContext span;
-  /// Version of the QuorumStrategy encoding carried in `change`; receivers
+  /// What the proxy runs while the change drains: the RM's committed
+  /// configuration with `change` pending at `cfno`
+  /// (FullConfig::with_pending). A proxy that missed an epoch change thus
+  /// never applies the change to a stale base.
+  FullConfig config;
+  /// Version of the encoding carried in `change` and `config`; receivers
   /// ignore installs from the future (see docs/PROTOCOL.md) so a staged
-  /// rollout of a richer strategy encoding cannot corrupt old proxies.
-  /// Appended last so pre-redesign positional initializers stay valid.
+  /// rollout of a richer encoding cannot corrupt old proxies. Kept last.
   std::uint8_t strategy_version = QuorumStrategy::kWireVersion;
 };
 

@@ -715,7 +715,11 @@ void Proxy::handle_write_reply(const sim::NodeId& from,
 
 void Proxy::handle_nack(const kv::EpochNack& nack) {
   ins_.nacks_received->inc();
-  if (nack.config.epno > config_.epno) adopt_full_config(nack.config);
+  if (nack.config.epno > config_.epno) {
+    obs_.spans().instant(obs::Category::kReconfig, "proxy_resync", node_name_,
+                         sim_.now(), nack.config.epno, nack.config.cfno);
+    adopt_full_config(nack.config);
+  }
   if (PendingOp* op = find_op(nack.op_id)) retry_op(nack.op_id, *op);
 }
 
@@ -834,36 +838,17 @@ void Proxy::handle_new_quorum(const sim::NodeId& from,
     net_.send(self_, from, kv::AckNewQuorumMsg{msg.epno, msg.cfno});
     return;
   }
-  if (config_.transitional) {
-    // The previous reconfiguration was finalized via an epoch change we did
-    // not observe directly; its transition quorum dominated both old and new
-    // quorums, so committing it before adopting the next change is safe.
-    commit_pending_change();
-  }
   ins_.reconfigurations->inc();
   // Drain span, parented under the RM's NEWQ phase span; a stale one (the
   // previous drain was superseded before its ops completed) is closed here.
   if (drain_span_.valid()) obs_.spans().close_span(drain_span_, sim_.now());
   drain_span_ = obs_.spans().open_span(msg.span, obs::Phase::kProxyDrain,
                                        "proxy_drain", node_name_, sim_.now());
-
-  // Record the read-quorum footprint of the configuration being installed
-  // (set Q of Algorithm 3/4). A global change records the largest read
-  // footprint after the change. A per-object change conservatively records
-  // the larger of the before and after values, which exceeds the RM's entry
-  // when the change lowers the largest override; the NACK merge keeps the
-  // larger of the two.
-  kv::FullConfig after = config_;
-  after.apply(msg.change);
-  int new_max_r = after.max_read_footprint();
-  if (!msg.change.is_global) {
-    new_max_r = std::max(new_max_r, config_.max_read_footprint());
-  }
-  config_.pending = msg.change;
-  config_.transitional = true;
-  config_.cfno = msg.cfno;
-  config_.epno = std::max(config_.epno, msg.epno);
-  config_.record_read_q(msg.cfno, new_max_r);
+  // The payload is the RM's committed configuration with the change pending
+  // and its read-quorum history entry (set Q of Algorithm 3/4). It replaces
+  // whatever this proxy held, a pending change it never saw committed or a
+  // base from before an epoch change it missed included.
+  adopt_full_config(msg.config);
 
   // Drain: acknowledge only when every operation issued under the old
   // quorum has completed (Algorithm 3 line 14). New operations proceed
@@ -912,26 +897,20 @@ void Proxy::handle_confirm(const sim::NodeId& from, const kv::ConfirmMsg& msg) {
     spans.close_span(marker, sim_.now(), msg.epno, msg.cfno);
   }
   if (config_.transitional && msg.cfno == config_.cfno) {
-    commit_pending_change();
+    config_.apply(config_.pending);
+    config_.transitional = false;
+    index_overrides();
     config_.epno = std::max(config_.epno, msg.epno);
   }
   net_.send(self_, from, kv::AckConfirmMsg{msg.epno, msg.cfno});
 }
 
-void Proxy::commit_pending_change() {
-  config_.apply(config_.pending);
-  config_.transitional = false;
-  index_overrides();
-}
-
 void Proxy::adopt_full_config(const kv::FullConfig& config) {
-  obs_.spans().instant(obs::Category::kReconfig, "proxy_resync", node_name_,
-                       sim_.now(), config.epno, config.cfno);
-  config_.epno = config.epno;
+  config_.epno = std::max(config_.epno, config.epno);
   if (config.cfno >= config_.cfno) {
-    // A transitional (phase-1 epoch-change) payload leaves us running with
+    // A transitional payload (NEWQ, phase-1 NEWEP) leaves us running with
     // the transition quorums; the pending change commits when the CONFIRM
-    // arrives, or when a later NEWQ supersedes it.
+    // arrives, or a later configuration supersedes it.
     config_.cfno = config.cfno;
     config_.default_q = config.default_q;
     config_.overrides = config.overrides;

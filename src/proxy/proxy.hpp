@@ -110,9 +110,9 @@ class Proxy {
   /// (lepno/lcfno, default and override quorums) is durable; in-flight
   /// operations were lost with the crash. A restarted proxy left behind by
   /// an epoch change re-learns the current configuration through a storage
-  /// NACK (Algorithm 6), unless a NEWQ or CONFIRM lifts its epoch number
-  /// first (docs/ROBUSTNESS.md, "Crash-recovery"). Heartbeats resume if
-  /// they were enabled.
+  /// NACK (Algorithm 6) or from the next NEWQ, which carries the RM's
+  /// committed configuration (docs/ROBUSTNESS.md, "Crash-recovery").
+  /// Heartbeats resume if they were enabled.
   void restart();
   bool crashed() const noexcept { return crashed_; }
 
@@ -134,9 +134,6 @@ class Proxy {
   bool in_transition() const noexcept { return config_.transitional; }
   kv::QuorumConfig default_quorum() const noexcept {
     return config_.default_q.footprint();
-  }
-  const kv::QuorumStrategy& default_strategy() const noexcept {
-    return config_.default_q;
   }
   /// Grid footprint of the quorum used for `oid` right now (includes
   /// transition logic); the sizes legacy call sites reason about.
@@ -351,7 +348,9 @@ class Proxy {
   // -------------------------------------------------- reconfiguration path
   void handle_new_quorum(const sim::NodeId& from, const kv::NewQuorumMsg&);
   void handle_confirm(const sim::NodeId& from, const kv::ConfirmMsg&);
-  void commit_pending_change();
+  /// Installs a NEWQ or NACK payload: the epoch never moves back, and the
+  /// quorum state and pending change come along unless `config` is older
+  /// than ours; the read-quorum history merges entry by entry.
   void adopt_full_config(const kv::FullConfig& config);
   /// Rebuilds override_index_ after config_.overrides changed.
   void index_overrides();

@@ -72,8 +72,7 @@ void ReconfigManager::start_next() {
   round_trace_ = obs_.spans().start_trace(obs::TraceKind::kReconfig,
                                           "reconfig", "rm", sim_.now());
   begin_phase_span(obs::Phase::kRmNewq, "rm_newq");
-  const kv::NewQuorumMsg msg{canonical_.epno, current_cfno_,
-                             current_.change, phase_span_};
+  const kv::NewQuorumMsg msg = new_quorum_msg();
   for (const sim::NodeId& proxy : proxies_) net_.send(self_, proxy, msg);
   ++retry_gen_;
   arm_phase_retransmit(0);
@@ -100,8 +99,7 @@ void ReconfigManager::resend_phase() {
                        sim_.now(), canonical_.epno, current_cfno_);
   switch (phase_) {
     case Phase::kNewQuorum: {
-      const kv::NewQuorumMsg msg{canonical_.epno, current_cfno_,
-                                 current_.change, phase_span_};
+      const kv::NewQuorumMsg msg = new_quorum_msg();
       for (const sim::NodeId& proxy : proxies_) {
         if (acked_proxies_.contains(proxy.index) || fd_.suspects(proxy)) {
           continue;
@@ -139,10 +137,6 @@ void ReconfigManager::resend_phase() {
 
 // ------------------------------------------------------------- state views
 
-FullConfig ReconfigManager::post_change_state() const {
-  return post_change_state_for(current_.change, current_cfno_);
-}
-
 FullConfig ReconfigManager::post_change_state_for(const QuorumChange& change,
                                                   std::uint64_t cfno) const {
   FullConfig state = canonical_;
@@ -152,15 +146,10 @@ FullConfig ReconfigManager::post_change_state_for(const QuorumChange& change,
   return state;
 }
 
-FullConfig ReconfigManager::transition_state() const {
-  // Component-wise max of old and new quorums, per object: the transition
-  // quorum intersects the read and write quorums of both configurations.
-  FullConfig state = post_change_state();
-  state.default_q = kv::transition(canonical_.default_q, state.default_q);
-  for (auto& [oid, q] : state.overrides) {
-    q = kv::transition(canonical_.strategy_for(oid), q);
-  }
-  return state;
+kv::NewQuorumMsg ReconfigManager::new_quorum_msg() const {
+  return kv::NewQuorumMsg{
+      canonical_.epno, current_cfno_, current_.change, phase_span_,
+      canonical_.with_pending(current_.change, current_cfno_)};
 }
 
 // ------------------------------------------------------------- message i/o
@@ -267,20 +256,14 @@ void ReconfigManager::begin_epoch_change(bool after_phase1) {
   // proxies may be using the old or transition quorum, so a quorum of
   // max(oldR, oldW) storage acknowledgements guarantees their operations
   // meet a NACK. After phase 2 they may be using the transition or new
-  // quorum, so size by the new configuration.
-  FullConfig payload;
-  if (after_phase1) {
-    // Lagging proxies must run with the transition quorums until CONFIRM;
-    // ship the pending change so they can commit it when it arrives.
-    payload = transition_state();
-    payload.transitional = true;
-    payload.pending = current_.change;
-  } else {
-    payload = post_change_state();
-  }
+  // quorum, so size by the new configuration. The phase-1 payload is what
+  // NEWQ carries, the committed state with the change pending: a lagging
+  // proxy runs the transition quorums and commits the change on CONFIRM.
+  epoch_payload_ = after_phase1
+                       ? canonical_.with_pending(current_.change, current_cfno_)
+                       : post_change_state_for(current_.change, current_cfno_);
   epoch_quorum_needed_ =
-      (after_phase1 ? canonical_ : payload).max_footprint();
-  epoch_payload_ = payload;
+      (after_phase1 ? canonical_ : epoch_payload_).max_footprint();
 
   // The epoch bump is a canonical-state decision: log it so epochs stay
   // totally ordered across RM leader failovers. The broadcast follows in

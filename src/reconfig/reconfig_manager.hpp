@@ -5,8 +5,8 @@
 //   Phase 1: broadcast NEWQ to all proxies, which switch to the transition
 //            quorum and ACK once operations issued under the old quorum have
 //            drained. If any proxy is suspected instead of ACKing, trigger
-//            an epoch change sized max(oldR, oldW) carrying the transition
-//            configuration.
+//            an epoch change sized max(oldR, oldW) carrying what NEWQ
+//            carries: the committed configuration with the change pending.
 //   Phase 2: broadcast CONFIRM; proxies switch to the new quorum. If any
 //            proxy is suspected, trigger an epoch change sized
 //            max(newR, newW) carrying the new configuration.
@@ -135,15 +135,14 @@ class ReconfigManager {
   void commit();
   void on_suspicion_change(const sim::NodeId& node, bool suspected);
 
-  /// Post-change state the current pending change would install.
-  kv::FullConfig post_change_state() const;
-  /// Same fold for an arbitrary change/cfno (commit-apply runs it against
-  /// the replicated queue head, which every replica holds).
+  /// The committed state with `change` applied at `cfno`: the phase-2
+  /// NEWEP payload, and what commit-apply installs from the replicated
+  /// queue head, which every replica holds.
   kv::FullConfig post_change_state_for(const kv::QuorumChange& change,
                                        std::uint64_t cfno) const;
-  /// Transition state: per-object kv::transition of current and post-change
-  /// (component-wise max of grid footprints).
-  kv::FullConfig transition_state() const;
+  /// NEWQ for the current change: it carries the committed state with the
+  /// change pending, from which proxies derive the transition quorums.
+  kv::NewQuorumMsg new_quorum_msg() const;
 
   sim::Simulator& sim_;
   Net& net_;

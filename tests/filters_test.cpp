@@ -152,48 +152,5 @@ TEST(ShiftDetectorTest, SmallDriftWithinDeltaIgnored) {
   }
 }
 
-// --------------------------------------------------------- TrendPredictor
-
-TEST(TrendPredictorTest, FlatSignalForecastsFlat) {
-  TrendPredictor predictor;
-  for (int i = 0; i < 50; ++i) predictor.update(100.0);
-  EXPECT_NEAR(predictor.forecast(5), 100.0, 1e-6);
-  EXPECT_NEAR(predictor.trend(), 0.0, 1e-6);
-}
-
-TEST(TrendPredictorTest, LinearSignalExtrapolates) {
-  TrendPredictor predictor(0.5, 0.3);
-  for (int i = 0; i < 100; ++i) {
-    predictor.update(100.0 + 10.0 * i);
-  }
-  // Next value should be ~ 100 + 10*100 = 1100.
-  EXPECT_NEAR(predictor.forecast(1), 1100.0, 20.0);
-  EXPECT_NEAR(predictor.trend(), 10.0, 1.0);
-}
-
-TEST(TrendPredictorTest, NotReadyBeforeTwoSamples) {
-  TrendPredictor predictor;
-  EXPECT_FALSE(predictor.ready());
-  predictor.update(1.0);
-  EXPECT_FALSE(predictor.ready());
-  predictor.update(2.0);
-  EXPECT_TRUE(predictor.ready());
-}
-
-TEST(TrendPredictorTest, AdaptsAfterTrendReversal) {
-  TrendPredictor predictor(0.6, 0.4);
-  for (int i = 0; i < 50; ++i) predictor.update(1000.0 + 10.0 * i);
-  for (int i = 0; i < 50; ++i) predictor.update(1500.0 - 10.0 * i);
-  EXPECT_LT(predictor.trend(), 0.0);
-}
-
-TEST(TrendPredictorTest, ResetForgets) {
-  TrendPredictor predictor;
-  for (int i = 0; i < 10; ++i) predictor.update(50.0 + i);
-  predictor.reset();
-  EXPECT_FALSE(predictor.ready());
-  EXPECT_DOUBLE_EQ(predictor.forecast(3), 0.0);
-}
-
 }  // namespace
 }  // namespace qopt::autonomic

@@ -239,6 +239,8 @@ TEST(WireSymmetryTest, VersionedMessagesRoundTripAndDropFutureFrames) {
     msg.cfno = 100;  // far beyond anything the quiescent cluster installed
     msg.change.is_global = true;
     msg.change.global = kv::QuorumStrategy::majority(4, 2, 5);
+    msg.config = cluster.rm().config().with_pending(msg.change, msg.cfno);
+    ASSERT_TRUE(msg.config.transitional);
 
     kv::Message frame = msg;        // onto the wire
     const kv::Message copy = frame;  // delivery copies the frame
@@ -246,8 +248,8 @@ TEST(WireSymmetryTest, VersionedMessagesRoundTripAndDropFutureFrames) {
     ASSERT_NE(decoded, nullptr);
     EXPECT_EQ(decoded->epno, msg.epno);
     EXPECT_EQ(decoded->cfno, msg.cfno);
-    EXPECT_EQ(decoded->change.is_global, msg.change.is_global);
-    EXPECT_EQ(decoded->change.global, msg.change.global);
+    EXPECT_EQ(decoded->change, msg.change);
+    EXPECT_EQ(decoded->config, msg.config);
     EXPECT_EQ(decoded->strategy_version, kv::QuorumStrategy::kWireVersion);
 
     const kv::QuorumConfig before = proxy.effective_quorum(0);

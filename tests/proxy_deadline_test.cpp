@@ -197,6 +197,7 @@ struct DeadlineHarness : ::testing::Test {
   std::vector<std::unique_ptr<kv::StorageNode>> storage;
   std::unique_ptr<proxy::Proxy> proxy;
   std::vector<kv::Message> client_inbox;
+  kv::FullConfig committed;  // the RM's, the base every NEWQ carries
 
   void SetUp() override {
     kv::ServiceTimes service;
@@ -213,6 +214,7 @@ struct DeadlineHarness : ::testing::Test {
                         });
     }
     options.initial = kv::QuorumConfig::of(1, 5);
+    committed.default_q = options.initial;
     proxy = std::make_unique<proxy::Proxy>(sim, net, sim::proxy_id(0),
                                            placement, options, telemetry);
     net.register_node(sim::proxy_id(0),
@@ -226,12 +228,16 @@ struct DeadlineHarness : ::testing::Test {
     net.register_node(sim::rm_id(), [](const sim::NodeId&, const kv::Message&) {});
   }
 
+  /// RM side: the two-phase install of `q` at `cfno`, the NEWQ built as
+  /// the RM builds it from its committed configuration.
   void install_global(std::uint64_t cfno, kv::QuorumConfig q) {
     kv::QuorumChange change;
-    change.is_global = true;
     change.global = q;
     net.send(sim::rm_id(), sim::proxy_id(0),
-             kv::NewQuorumMsg{0, cfno, std::move(change), {}});
+             kv::NewQuorumMsg{0, cfno, change, {},
+                              committed.with_pending(change, cfno)});
+    committed.apply(change);
+    committed.cfno = cfno;
     sim.run();
     net.send(sim::rm_id(), sim::proxy_id(0), kv::ConfirmMsg{0, cfno, {}});
     sim.run();

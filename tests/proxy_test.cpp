@@ -42,12 +42,16 @@ struct ProxyHarness : ::testing::Test {
   std::unique_ptr<Proxy> proxy;
   std::vector<Message> client_inbox;
   std::vector<Message> rm_inbox;
+  /// The RM's committed configuration: the base every NEWQ carries.
+  kv::FullConfig committed;
 
   void SetUp() override { build({1, 5}); }
 
   void build(QuorumConfig initial) {
     client_inbox.clear();
     rm_inbox.clear();
+    committed = kv::FullConfig{};
+    committed.default_q = initial;
     storage.clear();
     telemetry.registry().reset();
     kv::ServiceTimes service;
@@ -92,11 +96,28 @@ struct ProxyHarness : ::testing::Test {
              kv::ClientReadReq{oid, req});
   }
 
+  /// RM-side: the NEWQ installing `change` at `cfno`, built as the RM
+  /// builds it. Every round a test starts commits (by CONFIRM or by an
+  /// epoch change the proxy does not see), so `committed` moves on to it.
+  kv::NewQuorumMsg newq(std::uint64_t epno, std::uint64_t cfno,
+                        const kv::QuorumChange& change) {
+    committed.epno = epno;
+    kv::NewQuorumMsg msg{epno, cfno, change, {},
+                         committed.with_pending(change, cfno)};
+    committed.apply(change);
+    committed.cfno = cfno;
+    return msg;
+  }
+
+  void send_newq(std::uint64_t epno, std::uint64_t cfno,
+                 const kv::QuorumChange& change) {
+    net.send(sim::rm_id(), sim::proxy_id(0), newq(epno, cfno, change));
+  }
+
   /// RM-side: run the full two-phase handshake for a change.
   void install(std::uint64_t epno, std::uint64_t cfno,
-               kv::QuorumChange change) {
-    net.send(sim::rm_id(), sim::proxy_id(0),
-             kv::NewQuorumMsg{epno, cfno, std::move(change), {}});
+               const kv::QuorumChange& change) {
+    send_newq(epno, cfno, change);
     sim.run();
     net.send(sim::rm_id(), sim::proxy_id(0), kv::ConfirmMsg{epno, cfno, {}});
     sim.run();
@@ -104,10 +125,20 @@ struct ProxyHarness : ::testing::Test {
 
   void install_global(std::uint64_t epno, std::uint64_t cfno,
                       QuorumConfig q) {
+    install(epno, cfno, global(q));
+  }
+
+  static kv::QuorumChange global(QuorumConfig q) {
     kv::QuorumChange change;
-    change.is_global = true;
     change.global = q;
-    install(epno, cfno, std::move(change));
+    return change;
+  }
+
+  static kv::QuorumChange per_object(kv::ObjectId oid, QuorumConfig q) {
+    kv::QuorumChange change;
+    change.is_global = false;
+    change.overrides = {{oid, q}};
+    return change;
   }
 
   /// Registry value of the proxy's `proxy.0.<field>` counter.
@@ -192,9 +223,7 @@ TEST_F(ProxyHarness, NewQuorumAckedAndConfirmedSwitchesConfig) {
 
 TEST_F(ProxyHarness, TransitionQuorumIsMaxOfOldAndNew) {
   build({1, 5});
-  net.send(sim::rm_id(), sim::proxy_id(0),
-           kv::NewQuorumMsg{0, 1,
-                            kv::QuorumChange{true, QuorumConfig::of(5, 1), {}}, {}});
+  send_newq(0, 1, global(QuorumConfig::of(5, 1)));
   sim.run();
   EXPECT_TRUE(proxy->in_transition());
   // max(1,5)=5 reads, max(5,1)=5 writes during the transition.
@@ -211,8 +240,7 @@ TEST_F(ProxyHarness, DrainDelaysAckUntilPendingOpsComplete) {
   // take >= 200us round trip).
   sim.run(microseconds(450));
   EXPECT_EQ(proxy->pending_ops(), 1u);
-  net.send(sim::rm_id(), sim::proxy_id(0),
-           kv::NewQuorumMsg{0, 1, kv::QuorumChange{true, QuorumConfig::of(2, 4), {}}, {}});
+  send_newq(0, 1, global(QuorumConfig::of(2, 4)));
   sim.run(microseconds(700));  // NEWQ delivered, op still pending
   bool acked = false;
   for (const Message& m : rm_inbox) {
@@ -231,7 +259,7 @@ TEST_F(ProxyHarness, PerObjectOverrideApplied) {
   kv::QuorumChange change;
   change.is_global = false;
   change.overrides = {{7, QuorumConfig::of(5, 1)}, {8, QuorumConfig::of(3, 3)}};
-  install(0, 1, std::move(change));
+  install(0, 1, change);
   EXPECT_EQ(proxy->effective_quorum(7), (QuorumConfig::of(5, 1)));
   EXPECT_EQ(proxy->effective_quorum(8), (QuorumConfig::of(3, 3)));
   EXPECT_EQ(proxy->effective_quorum(9), (QuorumConfig::of(1, 5)));  // default
@@ -321,26 +349,29 @@ TEST_F(ProxyHarness, FallbackContactsRemainingReplicasOnStorageCrash) {
 }
 
 TEST_F(ProxyHarness, StaleNewQuorumStillAcked) {
-  install_global(0, 1, {4, 2});
+  const kv::NewQuorumMsg first = newq(0, 1, global(QuorumConfig::of(4, 2)));
+  net.send(sim::rm_id(), sim::proxy_id(0), first);
+  sim.run();
+  net.send(sim::rm_id(), sim::proxy_id(0), kv::ConfirmMsg{0, 1, {}});
+  sim.run();
   const std::size_t acks_before = rm_inbox.size();
-  // Re-deliver an old NEWQ (e.g. a retransmission): config must not change,
-  // but the ACK must flow for RM progress.
-  net.send(sim::rm_id(), sim::proxy_id(0),
-           kv::NewQuorumMsg{0, 1, kv::QuorumChange{true, QuorumConfig::of(1, 5), {}}, {}});
+  // Re-deliver the NEWQ (an RM retransmission): its payload, the R1/W5 base
+  // with R4/W2 pending, must not be installed again, but the ACK must flow
+  // for RM progress.
+  net.send(sim::rm_id(), sim::proxy_id(0), first);
   sim.run();
   EXPECT_EQ(proxy->default_quorum(), (QuorumConfig::of(4, 2)));
+  EXPECT_FALSE(proxy->in_transition());
   EXPECT_GT(rm_inbox.size(), acks_before);
 }
 
 TEST_F(ProxyHarness, BackToBackNewQuorumCommitsPrevious) {
-  net.send(sim::rm_id(), sim::proxy_id(0),
-           kv::NewQuorumMsg{0, 1, kv::QuorumChange{true, QuorumConfig::of(2, 4), {}}, {}});
+  send_newq(0, 1, global(QuorumConfig::of(2, 4)));
   sim.run();
   EXPECT_TRUE(proxy->in_transition());
   // Second NEWQ arrives without an intervening CONFIRM (the RM finalized
-  // round 1 via an epoch change we did not see).
-  net.send(sim::rm_id(), sim::proxy_id(0),
-           kv::NewQuorumMsg{1, 2, kv::QuorumChange{true, QuorumConfig::of(3, 3), {}}, {}});
+  // round 1 via an epoch change we did not see); its base is round 1's.
+  send_newq(1, 2, global(QuorumConfig::of(3, 3)));
   sim.run();
   EXPECT_TRUE(proxy->in_transition());
   // Transition base is the committed round-1 config {2,4}: max -> {3,4}.
@@ -354,10 +385,7 @@ TEST_F(ProxyHarness, WritesDuringATransitionCarryTheCommittedCfno) {
   // While cfno 1 drains, a version is tagged with the committed cfno 0:
   // reads under cfno 1 then treat it as older than their configuration and
   // repair against cfno 0's write quorums instead of trusting it.
-  net.send(sim::rm_id(), sim::proxy_id(0),
-           kv::NewQuorumMsg{0, 1,
-                            kv::QuorumChange{true, QuorumConfig::of(5, 1), {}},
-                            {}});
+  send_newq(0, 1, global(QuorumConfig::of(5, 1)));
   sim.run();
   ASSERT_TRUE(proxy->in_transition());
   client_write(7, 1, 111);  // transition quorum {5,5}: every replica
@@ -379,26 +407,25 @@ TEST_F(ProxyHarness, WritesDuringATransitionCarryTheCommittedCfno) {
   EXPECT_EQ(fresh, 1);
 }
 
-TEST_F(ProxyHarness, PerObjectNewqRecordsTheLargerOfBeforeAndAfter) {
-  // A per-object change's history entry is the larger of the largest read
-  // footprint before and after it: lowering object 7 from R=5 to R=1 at
-  // cfno 2 still records 5 there, so once a later change lands, a version
-  // tagged 2 is repaired with R=5.
-  const auto per_object = [](kv::ObjectId oid, QuorumConfig q) {
-    kv::QuorumChange change;
-    change.is_global = false;
-    change.overrides = {{oid, q}};
-    return change;
-  };
-  install(0, 1, per_object(7, QuorumConfig::of(5, 1)));
-  install(0, 2, per_object(7, QuorumConfig::of(1, 5)));
-  client_write(8, 1, 111);  // W=5 under cfno 2
+TEST_F(ProxyHarness, NewqBaseReplacesTheOneAProxyMissedAnEpochChangeFor) {
+  // The proxy missed round 1, which made R4/W2 the default through epoch
+  // changes it never saw, and stayed at epoch 0 with R2/W4. The NEWQ of the
+  // next round, a per-object change at epoch 2, carries round 1's base, so
+  // objects the change leaves alone run R4/W2, not the stale R2/W4.
+  build({2, 4});
+  newq(1, 1, global(QuorumConfig::of(4, 2)));  // never delivered
+  send_newq(2, 2, per_object(7, QuorumConfig::of(5, 1)));
   sim.run();
-  install(0, 3, per_object(9, QuorumConfig::of(1, 5)));
-  const auto repairs = proxy_metric("repair_reads");
-  client_read(8, 2);  // R=1 finds the cfno-2 version under cfno 3
+  EXPECT_EQ(proxy->epoch(), 2u);
+  ASSERT_TRUE(proxy->in_transition());
+  EXPECT_EQ(proxy->effective_quorum(8), (QuorumConfig::of(4, 2)));
+  EXPECT_EQ(proxy->effective_quorum(7), (QuorumConfig::of(5, 2)));
+  net.send(sim::rm_id(), sim::proxy_id(0), kv::ConfirmMsg{2, 2, {}});
   sim.run();
-  EXPECT_EQ(proxy_metric("repair_reads"), repairs + 1);
+  EXPECT_FALSE(proxy->in_transition());
+  EXPECT_EQ(proxy->default_quorum(), (QuorumConfig::of(4, 2)));
+  EXPECT_EQ(proxy->effective_quorum(8), (QuorumConfig::of(4, 2)));
+  EXPECT_EQ(proxy->effective_quorum(7), (QuorumConfig::of(5, 1)));
 }
 
 TEST_F(ProxyHarness, CrashedProxyStopsResponding) {
@@ -513,10 +540,7 @@ TEST_F(ProxyHarness, DeadlineScanAndDrainFollowOpIdsAfterRecyclingAndRekey) {
 
   // The NEWQ drain counts exactly the four ops pending at its arrival; an
   // op issued afterwards does not hold the acknowledgement back.
-  kv::QuorumChange same;
-  same.global = QuorumConfig::of(1, 5);
-  net.send(sim::rm_id(), sim::proxy_id(0),
-           kv::NewQuorumMsg{0, 1, std::move(same), {}});
+  send_newq(0, 1, global(QuorumConfig::of(1, 5)));
   sim.run(sim.now() + milliseconds(1));
   client_read(14, 14);
   sim.run(sim.now() + milliseconds(1));

@@ -181,6 +181,40 @@ TEST(FullConfigTest, ReadQuorumHistoryMergesAndQueriesSuffixes) {
   EXPECT_EQ(config.max_read_q_since(5), 1);
 }
 
+TEST(FullConfigTest, PerObjectNewqRecordsTheLargerOfBeforeAndAfter) {
+  // A NEWQ payload's history entry: a per-object change records the larger
+  // of the largest read footprint before and after it, so lowering object 7
+  // from R=5 to R=1 at cfno 2 still records 5 there, and a version tagged 2
+  // is repaired with R=5 once a later change lands.
+  kv::FullConfig committed;
+  committed.epno = 3;
+  committed.cfno = 1;
+  committed.default_q = QuorumConfig::of(1, 5);
+  committed.overrides = {{7, QuorumConfig::of(5, 1)}};
+  committed.read_q_history = {{0, 1}, {1, 5}};
+  kv::QuorumChange lower;
+  lower.is_global = false;
+  lower.overrides = {{7, QuorumConfig::of(1, 5)}};
+  const kv::FullConfig payload = committed.with_pending(lower, 2);
+  const std::vector<std::pair<std::uint64_t, int>> want = {
+      {0, 1}, {1, 5}, {2, 5}};
+  EXPECT_EQ(payload.read_q_history, want);
+  // Otherwise the payload is the committed state, with the change pending.
+  EXPECT_EQ(payload.epno, 3u);
+  EXPECT_EQ(payload.cfno, 2u);
+  EXPECT_TRUE(payload.transitional);
+  EXPECT_EQ(payload.pending, lower);
+  EXPECT_EQ(payload.default_q, committed.default_q);
+  EXPECT_EQ(payload.overrides, committed.overrides);
+
+  // A global change records the largest read footprint after it only.
+  kv::FullConfig tail;
+  tail.default_q = QuorumConfig::of(4, 2);
+  kv::QuorumChange global;
+  global.global = QuorumConfig::of(2, 4);
+  EXPECT_EQ(tail.with_pending(global, 1).max_read_q_since(1), 2);
+}
+
 // --------------------------------------------- property: sampling is safe
 
 // Every sampled read quorum must intersect every sampled write quorum —
@@ -295,11 +329,12 @@ TEST(StrategyInstallTest, FutureWireVersionIsNotAdopted) {
   cluster.set_workload(workload::ycsb_a(100));
   cluster.run_for(seconds(1));
 
+  const kv::FullConfig& committed = cluster.rm().config();
   kv::NewQuorumMsg msg;
-  msg.epno = cluster.rm().config().epno;
-  msg.cfno = cluster.rm().config().cfno + 1;
-  msg.change.is_global = true;
+  msg.epno = committed.epno;
+  msg.cfno = committed.cfno + 1;
   msg.change.global = QuorumConfig::of(1, 5);
+  msg.config = committed.with_pending(msg.change, msg.cfno);
   msg.strategy_version = QuorumStrategy::kWireVersion + 1;
   cluster.network().send(sim::rm_id(), sim::proxy_id(0), msg);
   cluster.run_for(seconds(1));
