@@ -250,7 +250,7 @@ int main(int argc, char** argv) {
     } else {
       cluster.enable_autotuning(tuning);
     }
-    if (!csv) {
+    if (!csv && !json) {  // the AM's trace is for human-readable output
       cluster.am()->set_event_callback([](Time t, const std::string& what) {
         std::printf("# [%7.1fs] %s\n", to_seconds(t), what.c_str());
       });

@@ -109,9 +109,6 @@ void Client::handle_read_resp(const kv::ClientReadResp& read) {
   if (checker_ && !read.failed) {
     checker_->read_completed(pending_op_.oid, issued_at_, sim_.now(),
                              read.found, read.version.ts, read_snapshot_);
-    if (read.found) {
-      checker_->observe(self_.index, pending_op_.oid, read.version.ts);
-    }
   }
   complete_op(read.failed);
 }
@@ -123,7 +120,6 @@ void Client::handle_write_resp(const kv::ClientWriteResp& write) {
   // skipping it is safe either way.
   if (checker_ && !write.failed) {
     checker_->write_completed(pending_op_.oid, write.ts);
-    checker_->observe(self_.index, pending_op_.oid, write.ts);
   }
   complete_op(write.failed);
 }

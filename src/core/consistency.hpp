@@ -36,7 +36,6 @@ class ConsistencyChecker {
 
   /// Records a client-visible write completion.
   void write_completed(kv::ObjectId oid, const kv::Timestamp& ts) {
-    ++writes_tracked_;
     auto [freshest, inserted] = freshest_.try_emplace(oid, ts);
     if (!inserted && ts > *freshest) *freshest = ts;
   }
@@ -67,36 +66,9 @@ class ConsistencyChecker {
     return violations_;
   }
   std::uint64_t reads_checked() const noexcept { return reads_checked_; }
-  std::uint64_t writes_tracked() const noexcept { return writes_tracked_; }
   bool clean() const noexcept {
     return violations_.empty() && quorum_violations_.empty();
   }
-
-  // ---- session observation (measurement, not a violation) -------------
-  //
-  // Regular-register semantics permit "new-old inversion": a read
-  // overlapping a write may return the new version while a later read
-  // still returns the old one. Dynamic Quorum Consistency does not forbid
-  // this, so it is *counted*, never flagged. The counter quantifies how
-  // often clients actually observe time going backwards per object.
-
-  /// Records what `client` observed for `oid`; returns true if this
-  /// observation is older than one the same client saw before (an
-  /// inversion).
-  bool observe(std::uint32_t client, kv::ObjectId oid,
-               const kv::Timestamp& ts) {
-    if (client >= last_observed_.size()) last_observed_.resize(client + 1);
-    auto [seen, inserted] = last_observed_[client].try_emplace(oid, ts);
-    if (inserted) return false;
-    if (ts < *seen) {
-      ++inversions_;
-      return true;
-    }
-    *seen = ts;
-    return false;
-  }
-
-  std::uint64_t new_old_inversions() const noexcept { return inversions_; }
 
   // ---- quorum intersection audit --------------------------------------
   //
@@ -184,19 +156,16 @@ class ConsistencyChecker {
     last->size = size;
   }
 
-  // The checker runs on every client operation (a snapshot or an observe
-  // per op, a quorum record per proxy completion), so its state lives in
-  // flat tables. Nothing iterates them: their slot order never reaches an
-  // output.
+  // The checker runs on every client operation (a snapshot and a check per
+  // read, a record per write, a quorum record per proxy completion), so its
+  // state lives in flat tables. Nothing iterates them: their slot order
+  // never reaches an output.
   FlatTable<kv::Timestamp> freshest_;
-  std::vector<FlatTable<kv::Timestamp>> last_observed_;  // per client
   FlatTable<WriteQuorum> last_write_quorum_;
   std::vector<std::uint32_t> write_quorum_members_;  // WriteQuorum arena
   std::vector<QuorumViolation> quorum_violations_;
   std::vector<Violation> violations_;
   std::uint64_t reads_checked_ = 0;
-  std::uint64_t writes_tracked_ = 0;
-  std::uint64_t inversions_ = 0;
 };
 
 }  // namespace qopt

@@ -188,8 +188,11 @@ const kv::QuorumStrategy& Proxy::pending_strategy(ObjectId oid) const {
     const std::uint32_t* at = override_index_.find(oid);
     return at != nullptr ? config_.overrides[*at].second : change.global;
   }
-  for (const auto& [changed_oid, q] : change.overrides) {
-    if (changed_oid == oid) return q;
+  // Scan from the back: a change that names `oid` twice commits its last
+  // entry (FullConfig::apply), so the transition must run under that one.
+  for (auto it = change.overrides.rbegin(); it != change.overrides.rend();
+       ++it) {
+    if (it->first == oid) return it->second;
   }
   return base_strategy(oid);
 }

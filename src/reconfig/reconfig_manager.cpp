@@ -248,7 +248,6 @@ void ReconfigManager::evaluate_phase2() {
 
 void ReconfigManager::begin_epoch_change(bool after_phase1) {
   ins_.epoch_changes->inc();
-  epoch_change_after_phase1_ = after_phase1;
   phase_ = after_phase1 ? Phase::kEpochChange1 : Phase::kEpochChange2;
   acked_storage_.clear();
 
@@ -295,7 +294,7 @@ void ReconfigManager::handle_epoch_ack(const sim::NodeId& from,
   if (ack.epno != canonical_.epno) return;
   acked_storage_.insert(from.index);
   if (static_cast<int>(acked_storage_.size()) < epoch_quorum_needed_) return;
-  if (epoch_change_after_phase1_) {
+  if (phase_ == Phase::kEpochChange1) {
     begin_confirm();
   } else {
     commit();

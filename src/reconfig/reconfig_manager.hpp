@@ -172,7 +172,6 @@ class ReconfigManager {
   std::unordered_set<std::uint32_t> acked_proxies_;
   std::unordered_set<std::uint32_t> acked_storage_;
   int epoch_quorum_needed_ = 0;
-  bool epoch_change_after_phase1_ = false;
   std::uint64_t retry_gen_ = 0;  // invalidates retransmit timers on phase end
   kv::FullConfig epoch_payload_;  // last NEWEP payload, kept for resends
   static constexpr Duration kRetryBase = 300 * kMillisecond;

@@ -266,6 +266,25 @@ TEST_F(ProxyHarness, PerObjectOverrideApplied) {
   EXPECT_EQ(proxy->override_count(), 2u);
 }
 
+TEST_F(ProxyHarness, TransitionRunsTheEntryACommitKeepsForARepeatedObject) {
+  // A per-object change may name one object twice; the commit keeps the
+  // last entry (FullConfig::apply), so the transition must run under it
+  // too. Under the first entry it would run R3/W5, and its R3 would not
+  // meet the W1 of a proxy that already confirmed (3 + 1 <= 5).
+  build({3, 3});
+  kv::QuorumChange change;
+  change.is_global = false;
+  change.overrides = {{7, QuorumConfig::of(1, 5)}, {7, QuorumConfig::of(5, 1)}};
+  send_newq(0, 1, change);
+  sim.run();
+  ASSERT_TRUE(proxy->in_transition());
+  EXPECT_EQ(proxy->effective_quorum(7), (QuorumConfig::of(5, 3)));
+  net.send(sim::rm_id(), sim::proxy_id(0), kv::ConfirmMsg{0, 1, {}});
+  sim.run();
+  EXPECT_FALSE(proxy->in_transition());
+  EXPECT_EQ(proxy->effective_quorum(7), (QuorumConfig::of(5, 1)));
+}
+
 TEST_F(ProxyHarness, ReadRepairUsesHistoricalReadQuorum) {
   // cfno 0: {1,5}. Write under W=5. cfno 1: {5,1}: write lands on one
   // replica. cfno 2: {1,5} again: a read with R=1 may miss the cfno-1

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "core/cluster.hpp"
+#include "kv/types.hpp"
 #include "util/rng.hpp"
 #include "workload/trace.hpp"
 #include "workload/workload.hpp"
@@ -110,6 +112,35 @@ TEST(TraceReplayTest, ReplayReproducesWorkloadProfile) {
     writes_replayed += replay.next(rng2, 0).is_write;
   }
   EXPECT_EQ(writes_recorded, writes_replayed);
+}
+
+TEST(TraceReplayTest, LoopingOneObjectTraceRunsTheDataPathOnAHashedId) {
+  // A large hashed id drives placement and the full data path like any
+  // other object: a looping write-then-read trace on it completes both
+  // kinds of operation, stays consistent and lands on its write quorum.
+  ClusterConfig config;
+  config.num_storage = 5;
+  config.num_proxies = 1;
+  config.clients_per_proxy = 1;
+  config.replication = 3;
+  config.initial_quorum = {2, 2};
+  Cluster cluster(config);
+
+  const kv::ObjectId oid = mix64(42);
+  const std::vector<TraceEntry> script = {
+      {0, Operation{oid, true, 2048}},
+      {0, Operation{oid, false, 0}},
+  };
+  cluster.set_workload(std::make_shared<TraceSource>(script, /*loop=*/true));
+  cluster.run_for(seconds(1));
+  EXPECT_GT(cluster.metrics().total_writes(), 0u);
+  EXPECT_GT(cluster.metrics().total_reads(), 0u);
+  EXPECT_TRUE(cluster.checker().clean());
+  int holders = 0;
+  for (std::uint32_t replica : cluster.placement().replicas(oid)) {
+    holders += cluster.storage(replica).peek(oid) != nullptr;
+  }
+  EXPECT_GE(holders, 2);  // W=2
 }
 
 }  // namespace
