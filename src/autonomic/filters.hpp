@@ -62,7 +62,6 @@ class ShiftDetector {
   bool update(double sample);
 
   std::size_t shifts_detected() const noexcept { return shifts_; }
-  double running_mean() const noexcept { return mean_; }
   void reset();
 
  private:

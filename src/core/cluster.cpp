@@ -15,7 +15,6 @@
 #include "proxy/proxy.hpp"
 #include "reconfig/reconfig_manager.hpp"
 #include "reconfig/replicated_rm.hpp"
-#include "sim/heartbeat.hpp"
 #include "sim/ids.hpp"
 #include "sim/network.hpp"
 #include "util/histogram.hpp"
@@ -61,7 +60,7 @@ Cluster::Cluster(const ClusterConfig& config)
     obs_.spans().enable_all(config_.span_sample_every);
   }
   // Membership instants: every suspicion-state flip, whatever its origin
-  // (oracle FD, heartbeat watcher, injected false suspicion).
+  // (detected crash or recovery, injected false suspicion).
   fd_.subscribe([this](const sim::NodeId& node, bool suspected) {
     obs_.spans().instant(obs::Category::kMembership,
                          suspected ? "suspect" : "unsuspect",
@@ -134,30 +133,14 @@ Cluster::Cluster(const ClusterConfig& config)
     net_.register_node(sim::rm_replica_id(i),
                        [this, i](const sim::NodeId& from,
                                  const kv::Message& msg) {
-                         handle_rm_message(i, from, msg);
+                         QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kRm);
+                         rrm_->on_message(i, from, msg);
                        });
-  }
-
-  if (config_.heartbeat_fd) {
-    heartbeat_watcher_ = std::make_unique<sim::HeartbeatWatcher>(
-        sim_, fd_, proxy_ids, config_.heartbeat_timeout,
-        config_.heartbeat_interval);
-    heartbeat_watcher_->start();
-    for (auto& proxy : proxies_) {
-      // Beats start at replica 0, the initial leader; failovers retarget
-      // them through the hook below.
-      proxy->enable_heartbeats(sim::rm_replica_id(0),
-                               config_.heartbeat_interval);
-    }
   }
   rrm_->set_leader_change_hook([this](std::uint32_t leader) {
     obs_.spans().instant(obs::Category::kMembership, "rm_leader",
                          sim::to_string(sim::rm_replica_id(leader)),
                          sim_.now());
-    if (!config_.heartbeat_fd) return;
-    for (auto& proxy : proxies_) {
-      proxy->set_heartbeat_target(sim::rm_replica_id(leader));
-    }
   });
 
   // ---- clients (closed loop, statically bound to proxies)
@@ -182,20 +165,6 @@ Cluster::Cluster(const ClusterConfig& config)
 }
 
 Cluster::~Cluster() = default;
-
-void Cluster::handle_rm_message(std::uint32_t replica,
-                                const sim::NodeId& from,
-                                const kv::Message& msg) {
-  // The inbox of RM replica `replica`: heartbeats feed the failure
-  // detector's watcher and never reach the protocol layer; everything else
-  // is reconfiguration protocol traffic for the RM proper.
-  QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kRm);
-  if (std::holds_alternative<kv::HeartbeatMsg>(msg)) {
-    if (heartbeat_watcher_) heartbeat_watcher_->beat(from);
-    return;
-  }
-  rrm_->on_message(replica, from, msg);
-}
 
 void Cluster::preload(std::uint64_t count, std::uint64_t size_bytes,
                       kv::ObjectId first_oid) {
@@ -237,12 +206,6 @@ void Cluster::set_workload_for_proxy(
       clients_[i]->set_source(source);
     }
   }
-}
-
-void Cluster::set_workload_for_client(
-    std::uint32_t client_index,
-    std::shared_ptr<workload::OperationSource> source) {
-  clients_.at(client_index)->set_source(source);
 }
 
 void Cluster::run_for(Duration duration) {
@@ -325,9 +288,7 @@ void Cluster::crash_proxy(std::uint32_t index) {
   proxies_.at(index)->crash();
   obs_.spans().instant(obs::Category::kMembership, "crash",
                        sim::to_string(sim::proxy_id(index)), sim_.now());
-  // With heartbeat detection the suspicion arises organically from the
-  // stopped beats; the oracle path keeps the configured detection delay.
-  if (!config_.heartbeat_fd) fd_.node_crashed(sim::proxy_id(index));
+  fd_.node_crashed(sim::proxy_id(index));
 }
 
 void Cluster::crash_storage(std::uint32_t index) {
@@ -340,9 +301,7 @@ void Cluster::crash_storage(std::uint32_t index) {
 void Cluster::restart_proxy(std::uint32_t index) {
   if (!proxies_.at(index)->crashed()) return;
   proxies_.at(index)->restart();
-  // Mirrors crash_proxy: with heartbeat detection the suspicion clears
-  // organically once the beats resume; the oracle path is told directly.
-  if (!config_.heartbeat_fd) fd_.node_recovered(sim::proxy_id(index));
+  fd_.node_recovered(sim::proxy_id(index));
 }
 
 void Cluster::restart_storage(std::uint32_t index) {

@@ -40,7 +40,6 @@
 #include "reconfig/reconfig_manager.hpp"
 #include "reconfig/replicated_rm.hpp"
 #include "sim/failure_detector.hpp"
-#include "sim/heartbeat.hpp"
 #include "sim/ids.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
@@ -84,12 +83,6 @@ struct ClusterConfig {
   /// Detection delay of the RM group's private failure detector — the RM
   /// failover reaction time. Only meaningful when rm_replicas > 1.
   Duration rm_fd_detection_delay = milliseconds(300);
-  /// When set, suspicion of proxies is derived from heartbeat traffic over
-  /// the simulated network instead of the omniscient oracle: crash_proxy()
-  /// stops the beats and the watcher suspects the proxy organically.
-  bool heartbeat_fd = false;
-  Duration heartbeat_interval = milliseconds(100);
-  Duration heartbeat_timeout = milliseconds(500);
   Duration client_think_time = 0;
   /// > 0 enables client proxy failover after this unanswered-for duration.
   Duration client_retry_timeout = 0;
@@ -133,9 +126,6 @@ class Cluster {
   /// Assigns a workload to the clients of one proxy (per-tenant setups).
   void set_workload_for_proxy(
       std::uint32_t proxy_index,
-      std::shared_ptr<workload::OperationSource> source);
-  void set_workload_for_client(
-      std::uint32_t client_index,
       std::shared_ptr<workload::OperationSource> source);
 
   // ------------------------------------------------------------- execution
@@ -240,20 +230,11 @@ class Cluster {
   }
   const kv::Placement& placement() const noexcept { return placement_; }
   sim::FailureDetector& failure_detector() noexcept { return fd_; }
-  sim::HeartbeatWatcher* heartbeat_watcher() noexcept {
-    return heartbeat_watcher_.get();
-  }
   const ClusterConfig& config() const noexcept { return config_; }
   sim::Network<kv::Message>& network() noexcept { return net_; }
 
  private:
   using Net = sim::Network<kv::Message>;
-
-  /// Wire inbox of RM replica `replica`: routes heartbeats to the watcher,
-  /// protocol messages to the ReplicatedRm, which gates them by the leader
-  /// role (see docs/PROTOCOL.toml).
-  void handle_rm_message(std::uint32_t replica, const sim::NodeId& from,
-                         const kv::Message& msg);
 
   ClusterConfig config_;
   // Declared before every component: they cache pointers into the registry,
@@ -283,7 +264,6 @@ class Cluster {
   std::unique_ptr<autonomic::AutonomicManager> am_;
   std::shared_ptr<oracle::Oracle> oracle_;
   std::unique_ptr<kv::Replicator> replicator_;
-  std::unique_ptr<sim::HeartbeatWatcher> heartbeat_watcher_;
 
   bool clients_started_ = false;
 };

@@ -17,7 +17,6 @@ Nemesis::Nemesis(Cluster& cluster, const NemesisOptions& options)
   ins_.per_object_reconfigurations =
       &reg.counter("nemesis.per_object_reconfigurations");
   ins_.false_suspicions = &reg.counter("nemesis.false_suspicions");
-  ins_.heartbeat_pauses = &reg.counter("nemesis.heartbeat_pauses");
   ins_.proxy_crashes = &reg.counter("nemesis.proxy_crashes");
   ins_.storage_crashes = &reg.counter("nemesis.storage_crashes");
   ins_.partitions = &reg.counter("nemesis.partitions");
@@ -93,18 +92,17 @@ void Nemesis::fire() {
       !rm_fault_active_ && cluster_.config().rm_replicas >= 3;
   // New kinds are appended with zero default weights: a legacy options
   // struct draws the exact same event sequence as before they existed.
-  const std::array<Choice, 11> choices = {{
+  const std::array<Choice, 10> choices = {{
       {options_.reconfigure, 0},
       {options_.per_object_reconfigure, 1},
       {options_.false_suspicion, 2},
-      {cluster_.config().heartbeat_fd ? options_.pause_heartbeats : 0.0, 3},
-      {can_crash_proxy ? options_.crash_proxy : 0.0, 4},
-      {can_crash_storage ? options_.crash_storage : 0.0, 5},
-      {can_partition ? options_.partition : 0.0, 6},
-      {burst_active_ ? 0.0 : options_.loss_burst, 7},
-      {can_restart ? options_.restart : 0.0, 8},
-      {can_fault_rm ? options_.rm_crash : 0.0, 9},
-      {can_fault_rm ? options_.rm_partition : 0.0, 10},
+      {can_crash_proxy ? options_.crash_proxy : 0.0, 3},
+      {can_crash_storage ? options_.crash_storage : 0.0, 4},
+      {can_partition ? options_.partition : 0.0, 5},
+      {burst_active_ ? 0.0 : options_.loss_burst, 6},
+      {can_restart ? options_.restart : 0.0, 7},
+      {can_fault_rm ? options_.rm_crash : 0.0, 8},
+      {can_fault_rm ? options_.rm_partition : 0.0, 9},
   }};
   double total = 0;
   for (const Choice& choice : choices) total += choice.weight;
@@ -151,23 +149,6 @@ void Nemesis::fire() {
       break;
     }
     case 3: {
-      ins_.heartbeat_pauses->inc();
-      const auto victim = static_cast<std::uint32_t>(
-          rng_.next_below(cluster_.config().num_proxies));
-      if (!cluster_.proxy(victim).crashed()) {
-        cluster_.proxy(victim).set_heartbeats_paused(true);
-        const auto pause = 1 + static_cast<Duration>(rng_.next_below(
-                               static_cast<std::uint64_t>(
-                                   options_.max_suspicion)));
-        cluster_.simulator().after(pause, [this, victim] {
-          if (!cluster_.proxy(victim).crashed()) {
-            cluster_.proxy(victim).set_heartbeats_paused(false);
-          }
-        });
-      }
-      break;
-    }
-    case 4: {
       // Crash a not-yet-crashed proxy (linear probe from a random start).
       const std::uint32_t proxies = cluster_.config().num_proxies;
       auto victim =
@@ -183,7 +164,7 @@ void Nemesis::fire() {
       }
       break;
     }
-    case 5: {
+    case 4: {
       const std::uint32_t storage = cluster_.config().num_storage;
       auto victim =
           static_cast<std::uint32_t>(rng_.next_below(storage));
@@ -198,7 +179,7 @@ void Nemesis::fire() {
       }
       break;
     }
-    case 6: {
+    case 5: {
       // Isolate a live storage node from the rest of the cluster; heal
       // after a bounded delay. One partition at a time (gated above).
       const std::uint32_t storage = cluster_.config().num_storage;
@@ -227,7 +208,7 @@ void Nemesis::fire() {
       });
       break;
     }
-    case 7: {
+    case 6: {
       ins_.loss_bursts->inc();
       burst_active_ = true;
       cluster_.network().set_loss(options_.burst_loss);
@@ -241,7 +222,7 @@ void Nemesis::fire() {
       });
       break;
     }
-    case 8: {
+    case 7: {
       // Recover the first crashed node (proxies first): exercises the
       // crash-recovery path — durable state, NACK resync, FD recovery.
       ins_.restarts->inc();
@@ -265,7 +246,7 @@ void Nemesis::fire() {
       }
       break;
     }
-    case 9: {
+    case 8: {
       // Crash the current RM leader mid-whatever-it-is-doing; the next
       // caught-up replica resumes any in-flight round from the replicated
       // log. Restart after a bounded hold so the group regains full size.
@@ -282,7 +263,7 @@ void Nemesis::fire() {
       });
       break;
     }
-    case 10: {
+    case 9: {
       // Isolate the RM leader on both planes (kv and the replication
       // network): it keeps driving into the void until the group deposes
       // it, exercising the stale-leader guards. Heal after a bounded hold.

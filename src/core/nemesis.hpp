@@ -1,11 +1,11 @@
 // Nemesis — a seeded chaos schedule for a running cluster.
 //
 // Repeatedly injects randomized events (reconfigurations, false suspicions,
-// heartbeat pauses, proxy/storage crashes) at exponentially distributed
-// intervals, within bounds that preserve the protocol's liveness
-// assumptions (enough correct storage replicas for every quorum it
-// installs). Property tests drive dense schedules through it and assert the
-// consistency checker stays clean; the CLI exposes it via --nemesis.
+// proxy/storage crashes) at exponentially distributed intervals, within
+// bounds that preserve the protocol's liveness assumptions (enough correct
+// storage replicas for every quorum it installs). Property tests drive dense
+// schedules through it and assert the consistency checker stays clean; the
+// CLI exposes it via --nemesis.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,6 @@ struct NemesisOptions {
   double reconfigure = 4.0;
   double per_object_reconfigure = 2.0;
   double false_suspicion = 2.0;
-  double pause_heartbeats = 1.0;  // effective only in heartbeat-FD mode
   double crash_proxy = 0.5;
   double crash_storage = 0.5;
   // Link-fault events (all default 0 so legacy schedules draw the same
@@ -76,7 +75,6 @@ class Nemesis {
     obs::Counter* reconfigurations = nullptr;
     obs::Counter* per_object_reconfigurations = nullptr;
     obs::Counter* false_suspicions = nullptr;
-    obs::Counter* heartbeat_pauses = nullptr;
     obs::Counter* proxy_crashes = nullptr;
     obs::Counter* storage_crashes = nullptr;
     obs::Counter* partitions = nullptr;

@@ -137,15 +137,6 @@ struct AckNewEpochMsg {  // ACKNEWEP
   std::uint64_t epno = 0;
 };
 
-// ------------------------------------------------------------- heartbeats
-
-/// Periodic liveness beacon from proxies to the control plane; feeds the
-/// heartbeat-based failure detector (suspicions then arise organically from
-/// the simulated network rather than from an omniscient oracle).
-struct HeartbeatMsg {
-  std::uint64_t seq = 0;
-};
-
 // --------------------------------------------------------- AM <-> proxies
 
 struct NewRoundMsg {  // NEWROUND
@@ -200,8 +191,7 @@ using Message =
                  ClientWriteResp, StorageReadReq, StorageReadResp,
                  StorageWriteReq, StorageWriteResp, EpochNack, NewQuorumMsg,
                  AckNewQuorumMsg, ConfirmMsg, AckConfirmMsg, NewEpochMsg,
-                 AckNewEpochMsg, NewRoundMsg, RoundStatsMsg, NewTopKMsg,
-                 HeartbeatMsg>;
+                 AckNewEpochMsg, NewRoundMsg, RoundStatsMsg, NewTopKMsg>;
 
 inline constexpr std::size_t kMessageTypeCount = std::variant_size_v<Message>;
 
@@ -217,7 +207,6 @@ inline constexpr std::array<const char*, kMessageTypeCount>
         "NewQuorumMsg",    "AckNewQuorumMsg", "ConfirmMsg",
         "AckConfirmMsg",   "NewEpochMsg",    "AckNewEpochMsg",
         "NewRoundMsg",     "RoundStatsMsg",  "NewTopKMsg",
-        "HeartbeatMsg",
 };
 
 }  // namespace qopt::kv

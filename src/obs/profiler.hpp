@@ -198,7 +198,6 @@ class EngineProfiler {
 
   bool enabled() const noexcept { return enabled_; }
   void enable() noexcept { enabled_ = true; }
-  void disable() noexcept { enabled_ = false; }
   void reset() noexcept;
 
   // ---- hot hooks (call sites compiled out under QOPT_PROFILE=OFF)

@@ -103,7 +103,6 @@ class SpanStore {
   std::uint64_t instants_evicted(Category category) const noexcept {
     return instants_evicted_[static_cast<std::size_t>(category)];
   }
-  std::size_t live_traces() const noexcept { return live_.size(); }
   std::size_t live_spans() const noexcept { return live_spans_; }
   std::uint64_t traces_completed() const noexcept {
     return completed_counter_->value();

@@ -106,25 +106,6 @@ void Proxy::restart() {
   ins_.restarts->inc();
   obs_.spans().instant(obs::Category::kMembership, "restart", node_name_,
                        sim_.now());
-  if (hb_enabled_) heartbeat_loop(++hb_gen_);
-}
-
-void Proxy::enable_heartbeats(sim::NodeId target, Duration interval) {
-  hb_enabled_ = true;
-  hb_target_ = target;
-  hb_interval_ = interval;
-  heartbeat_loop(++hb_gen_);
-}
-
-void Proxy::heartbeat_loop(std::uint64_t gen) {
-  if (crashed_ || gen != hb_gen_) return;
-  if (!heartbeats_paused_) {
-    net_.send(self_, hb_target_, kv::HeartbeatMsg{++heartbeat_seq_});
-  }
-  sim_.after(hb_interval_, [this, gen] {
-    QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kProxy);
-    heartbeat_loop(gen);
-  });
 }
 
 // --------------------------------------------------------------- op table
@@ -391,7 +372,7 @@ void Proxy::launch_op(std::uint64_t op_id, PendingOp& op) {
   contact_replicas(op_id, op, op.needed);
   // A NACK re-launch starts from fresh deadlines: the aborted attempt's
   // deadlines died with its op id.
-  op.fallback_at = {deadline_after(options_.fallback_timeout), kNoDeadline};
+  op.fallback_at = {deadline_after(kFallbackTimeout), kNoDeadline};
   op.retransmit_at = kNoDeadline;
   set_retransmit_deadline(op, 0);
   arm_deadline(std::min(op.fallback_at[0], op.retransmit_at));
@@ -461,9 +442,9 @@ void Proxy::set_retransmit_deadline(PendingOp& op, int attempt) {
   // timeout the op re-sends to contacted-but-silent replicas (same op id;
   // storage dedups applied writes). Disabled by retry_budget = 0.
   if (options_.retry_budget <= 0) return;
-  double delay = static_cast<double>(options_.retry_base);
-  for (int k = 0; k < attempt; ++k) delay *= options_.retry_multiplier;
-  delay *= 1.0 + options_.retry_jitter * (2.0 * rng_.next_double() - 1.0);
+  double delay = static_cast<double>(kRetryBase);
+  for (int k = 0; k < attempt; ++k) delay *= kRetryMultiplier;
+  delay *= 1.0 + kRetryJitter * (2.0 * rng_.next_double() - 1.0);
   op.retransmit_at = deadline_after(static_cast<Duration>(delay));
   op.retransmit_attempt = attempt;
 }
@@ -688,7 +669,7 @@ void Proxy::maybe_complete_read(std::uint64_t op_id, PendingOp& op) {
                                  "read_repair", node_name_, sim_.now());
       if (op.received < op.needed) {
         contact_replicas(op_id, op, op.needed);
-        op.fallback_at[1] = deadline_after(options_.fallback_timeout);
+        op.fallback_at[1] = deadline_after(kFallbackTimeout);
         arm_deadline(op.fallback_at[1]);
         return;
       }

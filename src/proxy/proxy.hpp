@@ -55,21 +55,15 @@ namespace qopt::proxy {
 
 struct ProxyOptions {
   kv::QuorumConfig initial = kv::QuorumConfig::of(1, 1);  // overwritten by cluster wiring
-  Duration fallback_timeout = milliseconds(150);
   std::size_t servers = 8;                 // proxy CPU cores
   Duration op_cost = microseconds(60);     // per-op proxy CPU time
   std::size_t topk_capacity = 128;         // Space-Saving summary size
   // Per-operation timeout/retransmit plane (at-least-once RPC; see
-  // docs/ROBUSTNESS.md). After `retry_base * retry_multiplier^k` (+/- the
-  // jitter fraction) with the quorum still unmet, the k-th round re-sends
-  // the request — same op id, storage dedups — to every contacted replica
-  // that has not answered. After `retry_budget` rounds the operation is
-  // reported failed to the client. 0 disables retransmits (and with them
-  // op failures: an op then waits forever, the pre-fault-plane behavior).
+  // docs/ROBUSTNESS.md and Proxy::kRetryBase). After `retry_budget` rounds
+  // the operation is reported failed to the client. 0 disables retransmits
+  // (and with them op failures: an op then waits forever, the
+  // pre-fault-plane behavior).
   int retry_budget = 6;
-  Duration retry_base = milliseconds(250);
-  double retry_multiplier = 2.0;
-  double retry_jitter = 0.2;
 };
 
 /// Completion record surfaced to the metrics layer.
@@ -97,6 +91,16 @@ class Proxy {
   using Net = sim::Network<kv::Message>;
   using OpCallback = std::function<void(const OpRecord&)>;
 
+  /// An operation whose quorum is still unmet contacts the remaining
+  /// replicas after kFallbackTimeout. After kRetryBase * kRetryMultiplier^k
+  /// (+/- the kRetryJitter fraction) the k-th retransmit round re-sends the
+  /// request (same op id, storage dedups) to every contacted replica that
+  /// has not answered.
+  static constexpr Duration kFallbackTimeout = 150 * kMillisecond;
+  static constexpr Duration kRetryBase = 250 * kMillisecond;
+  static constexpr double kRetryMultiplier = 2.0;
+  static constexpr double kRetryJitter = 0.2;
+
   /// `obs` is the deployment's observability bundle; it must outlive the
   /// proxy.
   Proxy(sim::Simulator& sim, Net& net, sim::NodeId self,
@@ -112,21 +116,11 @@ class Proxy {
   /// an epoch change re-learns the current configuration through a storage
   /// NACK (Algorithm 6) or from the next NEWQ, which carries the RM's
   /// committed configuration (docs/ROBUSTNESS.md, "Crash-recovery").
-  /// Heartbeats resume if they were enabled.
   void restart();
   bool crashed() const noexcept { return crashed_; }
 
   /// Invoked on every completed client operation (metrics wiring).
   void set_op_callback(OpCallback cb) { on_complete_ = std::move(cb); }
-
-  /// Starts emitting periodic liveness beacons to `target` (the heartbeat
-  /// failure-detector mode). Crashing stops the beats, as does pausing
-  /// (tests use pausing to provoke organic false suspicions).
-  void enable_heartbeats(sim::NodeId target, Duration interval);
-  void set_heartbeats_paused(bool paused) { heartbeats_paused_ = paused; }
-  /// Redirects the beats (RM leader failover); the running loop picks the
-  /// new target up on its next tick.
-  void set_heartbeat_target(sim::NodeId target) { hb_target_ = target; }
 
   // ------------------------------------------------------------ inspection
   std::uint64_t epoch() const noexcept { return config_.epno; }
@@ -454,17 +448,6 @@ class Proxy {
   double round_latency_sum_ms_ = 0;
   Time round_started_ = 0;
   std::uint64_t current_round_ = 0;
-
-  // Heartbeat emission. The generation counter kills a stale beat loop
-  // whose timer straddled a crash/restart cycle (restart starts a fresh
-  // loop; without the guard both would run).
-  bool heartbeats_paused_ = false;
-  std::uint64_t heartbeat_seq_ = 0;
-  bool hb_enabled_ = false;
-  sim::NodeId hb_target_;
-  Duration hb_interval_ = 0;
-  std::uint64_t hb_gen_ = 0;
-  void heartbeat_loop(std::uint64_t gen);
 
   // Observability: counters cached at construction, bumped on the hot path.
   obs::Observability& obs_;

@@ -57,8 +57,8 @@ class ReplicatedRm {
  public:
   using Net = sim::Network<kv::Message>;
   using DoneCallback = std::function<void(bool ok)>;
-  /// Fired after a replica is promoted to the leader role (heartbeat
-  /// retargeting and the like).
+  /// Fired after a replica is promoted to the leader role (the cluster
+  /// records an `rm_leader` membership instant).
   using LeaderChangeFn = std::function<void(std::uint32_t leader)>;
 
   /// `net`/`fd` are the kv-plane network and failure detector the RM

@@ -153,7 +153,6 @@ class Network {
   }
 
   void heal_all_partitions() { partitions_.clear(); }
-  std::size_t active_partitions() const noexcept { return partitions_.size(); }
 
   /// True when any active partition blocks from -> to.
   bool partitioned(const NodeId& from, const NodeId& to) const {

@@ -172,9 +172,6 @@ class Simulator {
 
   void set_schedule_chooser(ScheduleChooser chooser, std::size_t window);
   void clear_schedule_chooser();
-  bool schedule_chooser_active() const noexcept {
-    return static_cast<bool>(chooser_);
-  }
 
  private:
   /// Heap entry: the event's place in the (time, seq) order and its slot.

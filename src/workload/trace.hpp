@@ -31,7 +31,6 @@ class RecordingSource final : public OperationSource {
   std::string describe() const override;
 
   const std::vector<TraceEntry>& trace() const noexcept { return trace_; }
-  std::vector<TraceEntry> take_trace() { return std::move(trace_); }
 
  private:
   std::shared_ptr<OperationSource> inner_;

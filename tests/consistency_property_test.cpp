@@ -195,57 +195,5 @@ TEST_P(StorageCrash, QuorumSurvivesMinorityStorageFailure) {
 INSTANTIATE_TEST_SUITE_P(Seeds, StorageCrash,
                          ::testing::Range<std::uint64_t>(60, 66));
 
-// ------------------------------------- organic suspicion via heartbeats
-
-class HeartbeatChurn : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(HeartbeatChurn, OrganicSuspicionsNeverViolateConsistency) {
-  // Suspicions come from real (paused/stopped) heartbeat traffic instead of
-  // oracle injection; reconfigurations race against them.
-  const std::uint64_t seed = GetParam();
-  ClusterConfig config = base_config(seed);
-  config.heartbeat_fd = true;
-  config.heartbeat_interval = milliseconds(50);
-  config.heartbeat_timeout = milliseconds(250);
-  Cluster cluster(config);
-  cluster.preload(200, 1024);
-  workload::WorkloadSpec spec;
-  spec.write_ratio = 0.5;
-  spec.keys = std::make_shared<workload::ZipfianKeys>(200);
-  cluster.set_workload(std::make_shared<workload::BasicWorkload>(spec));
-  Rng rng(seed * 7 + 3);
-  cluster.run_for(milliseconds(500));
-
-  bool crashed = false;
-  for (int i = 0; i < 6; ++i) {
-    const int w = static_cast<int>(rng.next_below(5)) + 1;
-    cluster.reconfigure({5 - w + 1, w});
-    const auto dice = rng.next_below(4);
-    if (dice == 0) {
-      // Pause a live proxy's beats long enough to be suspected, resume
-      // later: an organic false suspicion.
-      const auto victim = static_cast<std::uint32_t>(rng.next_below(3));
-      cluster.proxy(victim).set_heartbeats_paused(true);
-      cluster.simulator().after(
-          milliseconds(400 + rng.next_below(600)),
-          [&cluster, victim] {
-            if (!cluster.proxy(victim).crashed()) {
-              cluster.proxy(victim).set_heartbeats_paused(false);
-            }
-          });
-    } else if (dice == 1 && !crashed) {
-      cluster.crash_proxy(2);
-      crashed = true;
-    }
-    cluster.run_for(milliseconds(400 + rng.next_below(600)));
-  }
-  cluster.run_for(seconds(3));
-  expect_clean(cluster);
-  EXPECT_EQ(cluster.obs().registry().counter_value("rm.reconfigurations_completed"), 6u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, HeartbeatChurn,
-                         ::testing::Range<std::uint64_t>(70, 80));
-
 }  // namespace
 }  // namespace qopt

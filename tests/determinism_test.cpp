@@ -31,8 +31,8 @@ struct Fingerprint {
   friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
 };
 
-Fingerprint run_scenario(std::uint64_t seed, bool autotune, bool heartbeat,
-                         bool anti_entropy, bool failures) {
+Fingerprint run_scenario(std::uint64_t seed, bool autotune, bool anti_entropy,
+                         bool failures) {
   ClusterConfig config;
   config.num_storage = 6;
   config.num_proxies = 3;
@@ -40,7 +40,6 @@ Fingerprint run_scenario(std::uint64_t seed, bool autotune, bool heartbeat,
   config.replication = 5;
   config.initial_quorum = {3, 3};
   config.seed = seed;
-  config.heartbeat_fd = heartbeat;
   config.client_retry_timeout = failures ? milliseconds(300) : 0;
   Cluster cluster(config);
   cluster.preload(500, 2048);
@@ -80,14 +79,12 @@ Fingerprint run_scenario(std::uint64_t seed, bool autotune, bool heartbeat,
 }
 
 class Determinism
-    : public ::testing::TestWithParam<std::tuple<bool, bool, bool, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<bool, bool, bool>> {};
 
 TEST_P(Determinism, IdenticalSeedsIdenticalExecutions) {
-  const auto [autotune, heartbeat, anti_entropy, failures] = GetParam();
-  const Fingerprint a =
-      run_scenario(99, autotune, heartbeat, anti_entropy, failures);
-  const Fingerprint b =
-      run_scenario(99, autotune, heartbeat, anti_entropy, failures);
+  const auto [autotune, anti_entropy, failures] = GetParam();
+  const Fingerprint a = run_scenario(99, autotune, anti_entropy, failures);
+  const Fingerprint b = run_scenario(99, autotune, anti_entropy, failures);
   EXPECT_EQ(a.ops, b.ops);
   EXPECT_EQ(a.messages, b.messages);
   EXPECT_EQ(a.reconfigs, b.reconfigs);
@@ -98,11 +95,9 @@ TEST_P(Determinism, IdenticalSeedsIdenticalExecutions) {
 }
 
 TEST_P(Determinism, DifferentSeedsDiverge) {
-  const auto [autotune, heartbeat, anti_entropy, failures] = GetParam();
-  const Fingerprint a =
-      run_scenario(99, autotune, heartbeat, anti_entropy, failures);
-  const Fingerprint b =
-      run_scenario(100, autotune, heartbeat, anti_entropy, failures);
+  const auto [autotune, anti_entropy, failures] = GetParam();
+  const Fingerprint a = run_scenario(99, autotune, anti_entropy, failures);
+  const Fingerprint b = run_scenario(100, autotune, anti_entropy, failures);
   EXPECT_NE(a.messages, b.messages);
 }
 
@@ -118,7 +113,6 @@ std::pair<std::string, std::string> traced_chaos_run(std::uint64_t seed) {
   config.replication = 5;
   config.initial_quorum = {3, 3};
   config.seed = seed;
-  config.heartbeat_fd = true;
   config.client_retry_timeout = milliseconds(300);
   config.span_sample_every = 1;
   Cluster cluster(config);
@@ -144,17 +138,16 @@ TEST(SpanDeterminism, ByteIdenticalExportsUnderNemesisFaults) {
 
 INSTANTIATE_TEST_SUITE_P(
     Features, Determinism,
-    ::testing::Values(std::make_tuple(false, false, false, false),
-                      std::make_tuple(true, false, false, false),
-                      std::make_tuple(false, true, false, true),
-                      std::make_tuple(true, false, true, false),
-                      std::make_tuple(true, true, true, true)),
+    ::testing::Values(std::make_tuple(false, false, false),
+                      std::make_tuple(true, false, false),
+                      std::make_tuple(false, false, true),
+                      std::make_tuple(true, true, false),
+                      std::make_tuple(true, true, true)),
     [](const auto& param_info) {
       std::string name;
       name += std::get<0>(param_info.param) ? "tune" : "static";
-      name += std::get<1>(param_info.param) ? "_hb" : "";
-      name += std::get<2>(param_info.param) ? "_ae" : "";
-      name += std::get<3>(param_info.param) ? "_fail" : "";
+      name += std::get<1>(param_info.param) ? "_ae" : "";
+      name += std::get<2>(param_info.param) ? "_fail" : "";
       return name;
     });
 

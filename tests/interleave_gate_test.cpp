@@ -45,6 +45,12 @@ namespace {
 constexpr std::size_t kWindow = 2;
 constexpr std::size_t kDepth = 11;
 constexpr std::size_t kMinSchedules = 1000;
+// The explored set itself: its size and order-independent hash. A change
+// that moves either (the scenario, the bounds, or any protocol step the
+// schedules reach) re-pins both in its own commit and says why, as a change
+// to tests/data/replay_baseline.json does.
+constexpr std::size_t kPinnedSchedules = 2039;
+constexpr std::uint64_t kPinnedSetHash = 0xf5a11ed93016b121;
 
 constexpr std::uint64_t kObjects = 4;
 constexpr std::uint64_t kObjectBytes = 64;
@@ -232,10 +238,12 @@ TEST(InterleaveGateTest, AllSmallScopeSchedulesPreserveTheContract) {
       << "exploration bounds too tight: raise kDepth or kWindow";
   EXPECT_EQ(first.max_branch_depth, kDepth)
       << "window too short to reach the full branching depth";
-  // Printed so a refactor can diff the explored set against its parent.
+  // Printed so a re-pin can read the new values.
   std::printf("interleave gate: %zu schedules, set_hash %016llx\n",
               first.schedules,
               static_cast<unsigned long long>(first.set_hash));
+  EXPECT_EQ(first.schedules, kPinnedSchedules);
+  EXPECT_EQ(first.set_hash, kPinnedSetHash);
 
   // Same-seed rerun: the schedule set and every per-schedule outcome must
   // be byte-identical.

@@ -1,6 +1,6 @@
 // Nemesis-driven chaos testing: dense randomized schedules of
-// reconfigurations, suspicions, heartbeat pauses, and bounded crashes, with
-// the Dynamic Quorum Consistency checker as the oracle.
+// reconfigurations, suspicions and bounded crashes, with the Dynamic Quorum
+// Consistency checker as the oracle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,7 +18,7 @@
 namespace qopt {
 namespace {
 
-ClusterConfig chaos_config(std::uint64_t seed, bool heartbeat) {
+ClusterConfig chaos_config(std::uint64_t seed) {
   ClusterConfig config;
   config.num_storage = 7;
   config.num_proxies = 3;
@@ -26,7 +26,6 @@ ClusterConfig chaos_config(std::uint64_t seed, bool heartbeat) {
   config.replication = 5;
   config.initial_quorum = {3, 3};
   config.seed = seed;
-  config.heartbeat_fd = heartbeat;
   config.client_retry_timeout = milliseconds(500);
   return config;
 }
@@ -41,15 +40,15 @@ std::uint64_t nemesis_events(const Cluster& cluster) {
   std::uint64_t total = 0;
   for (const char* kind :
        {"reconfigurations", "per_object_reconfigurations", "false_suspicions",
-        "heartbeat_pauses", "proxy_crashes", "storage_crashes", "partitions",
-        "loss_bursts", "restarts", "rm_crashes", "rm_partitions"}) {
+        "proxy_crashes", "storage_crashes", "partitions", "loss_bursts",
+        "restarts", "rm_crashes", "rm_partitions"}) {
     total += nemesis_counter(cluster, kind);
   }
   return total;
 }
 
 TEST(NemesisTest, InjectsConfiguredEventMix) {
-  Cluster cluster(chaos_config(3, false));
+  Cluster cluster(chaos_config(3));
   cluster.preload(500, 1024);
   cluster.set_workload(workload::ycsb_a(500));
   NemesisOptions options;
@@ -67,7 +66,7 @@ TEST(NemesisTest, InjectsConfiguredEventMix) {
 }
 
 TEST(NemesisTest, StopHaltsInjection) {
-  Cluster cluster(chaos_config(5, false));
+  Cluster cluster(chaos_config(5));
   cluster.preload(100, 1024);
   cluster.set_workload(workload::ycsb_a(100));
   NemesisOptions options;
@@ -81,12 +80,11 @@ TEST(NemesisTest, StopHaltsInjection) {
   EXPECT_EQ(nemesis_events(cluster), events);
 }
 
-class NemesisChaos
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, bool>> {};
+class NemesisChaos : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(NemesisChaos, ConsistencyAndLivenessUnderDenseChaos) {
-  const auto [seed, heartbeat] = GetParam();
-  Cluster cluster(chaos_config(seed, heartbeat));
+  const std::uint64_t seed = GetParam();
+  Cluster cluster(chaos_config(seed));
   cluster.preload(500, 1024);
   workload::WorkloadSpec spec;
   spec.write_ratio = 0.5;
@@ -198,14 +196,11 @@ TEST(NemesisCiChaos, AutotunedSeedFortyStaysFreshAndDrains) {
   expect_fresh_and_drained(40, /*autotune=*/true);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Seeds, NemesisChaos,
-    ::testing::Combine(::testing::Range<std::uint64_t>(1, 9),
-                       ::testing::Bool()),
-    [](const auto& param_info) {
-      return "seed" + std::to_string(std::get<0>(param_info.param)) +
-             (std::get<1>(param_info.param) ? "_hb" : "_oracle");
-    });
+INSTANTIATE_TEST_SUITE_P(Seeds, NemesisChaos,
+                         ::testing::Range<std::uint64_t>(1, 17),
+                         [](const auto& param_info) {
+                           return "seed" + std::to_string(param_info.param);
+                         });
 
 }  // namespace
 }  // namespace qopt

@@ -87,7 +87,7 @@ TEST(DeadlineIndexTest, QueueDepthHasNoPerOpTimerTerm) {
   cluster.run_for(milliseconds(100));
   EXPECT_EQ(cluster.network().in_flight(), 0u);
   EXPECT_LE(cluster.simulator().pending(), config.num_proxies);
-  cluster.run_for(cluster.config().proxy.fallback_timeout);
+  cluster.run_for(proxy::Proxy::kFallbackTimeout);
   EXPECT_EQ(cluster.simulator().pending(), 0u);
 }
 
@@ -300,8 +300,8 @@ TEST_F(DeadlineHarness, ReadRepairKeepsTheLaunchFallbackDeadline) {
 
   // The launch deadline stays live through the repair phase and fires
   // first; the repair phase's own deadline would be one round trip later.
-  EXPECT_EQ(fallback_at, launched + options.fallback_timeout);
-  EXPECT_LT(fallback_at, repair_at + options.fallback_timeout);
+  EXPECT_EQ(fallback_at, launched + proxy::Proxy::kFallbackTimeout);
+  EXPECT_LT(fallback_at, repair_at + proxy::Proxy::kFallbackTimeout);
   sim.run();
   ASSERT_FALSE(client_inbox.empty());
   const auto& resp = std::get<kv::ClientReadResp>(client_inbox.back());
@@ -325,7 +325,8 @@ TEST_F(DeadlineHarness, CrashRetiresTheArmedEventAndRestartRearms) {
   // proxy then crashes and restarts before that event is due.
   storage[order[0]]->crash();
   const std::uint64_t fallbacks = metric("fallbacks");
-  const Time stale_deadline = launch_instant() + options.fallback_timeout;
+  const Time stale_deadline =
+      launch_instant() + proxy::Proxy::kFallbackTimeout;
   net.send(sim::client_id(0), sim::proxy_id(0), kv::ClientReadReq{oid, 2});
   sim.run(sim.now() + milliseconds(10));
   proxy->crash();
@@ -341,7 +342,7 @@ TEST_F(DeadlineHarness, CrashRetiresTheArmedEventAndRestartRearms) {
   sim.run(stale_deadline);
   EXPECT_EQ(metric("fallbacks"), fallbacks);
   const Time fallback_at = step_until_metric_exceeds("fallbacks", fallbacks);
-  EXPECT_EQ(fallback_at, launched + options.fallback_timeout);
+  EXPECT_EQ(fallback_at, launched + proxy::Proxy::kFallbackTimeout);
   sim.run();
   EXPECT_EQ(metric("fallbacks"), fallbacks + 1);
   ASSERT_EQ(client_inbox.size(), 2u);

@@ -552,7 +552,7 @@ TEST_F(ProxyHarness, DeadlineScanAndDrainFollowOpIdsAfterRecyclingAndRekey) {
 
   // Their fallback deadlines are due together: one scan contacts the
   // remaining replicas of all three, in op-id order.
-  const Time scan = launched + ProxyOptions{}.fallback_timeout;
+  const Time scan = launched + Proxy::kFallbackTimeout;
   sim.run(scan + milliseconds(1));
   EXPECT_EQ(ids_sent_at(scan), relaunched);
   EXPECT_EQ(proxy_metric("fallbacks"), 4u);

@@ -440,7 +440,7 @@ TEST(QoptProtoTree, CommittedManifestMatchesTheRealTree) {
       qopt::proto::load_manifest(root + "/docs/PROTOCOL.toml");
   ASSERT_TRUE(m.errors.empty()) << describe(m.errors);
   EXPECT_GE(m.messages.size(), 19u);  // every wire.hpp struct is recorded
-  EXPECT_GE(m.components.size(), 7u);
+  EXPECT_GE(m.components.size(), 6u);
   const auto findings = qopt::proto::analyze_tree(root, m);
   EXPECT_TRUE(findings.empty()) << describe(findings);
 }
