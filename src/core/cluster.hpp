@@ -229,7 +229,6 @@ class Cluster {
     return static_cast<std::uint32_t>(clients_.size());
   }
   const kv::Placement& placement() const noexcept { return placement_; }
-  sim::FailureDetector& failure_detector() noexcept { return fd_; }
   const ClusterConfig& config() const noexcept { return config_; }
   sim::Network<kv::Message>& network() noexcept { return net_; }
 
