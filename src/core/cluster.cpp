@@ -21,9 +21,19 @@
 #include "util/time.hpp"
 #include "workload/workload.hpp"
 
+#include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 namespace qopt {
+namespace {
+
+/// preload() records each replica's storage node in one byte.
+constexpr std::uint32_t kMaxStorageNodes = 256;
+
+}  // namespace
 
 Cluster::Cluster(const ClusterConfig& config)
     : config_(config),
@@ -41,6 +51,14 @@ Cluster::Cluster(const ClusterConfig& config)
       config_.rm_replicas == 0) {
     throw std::invalid_argument(
         "Cluster: need at least 1 proxy, storage node and RM replica");
+  }
+  // A write's timestamp carries its proxy's index in the store's 16-bit
+  // field (kv::PackedVersion).
+  if (config_.num_proxies >= kv::PackedVersion::kProxyLimit) {
+    throw std::invalid_argument("Cluster: at most 65535 proxies");
+  }
+  if (config_.num_storage > kMaxStorageNodes) {
+    throw std::invalid_argument("Cluster: at most 256 storage nodes");
   }
 
   net_.bind_observability(&obs_);
@@ -168,27 +186,35 @@ Cluster::~Cluster() = default;
 
 void Cluster::preload(std::uint64_t count, std::uint64_t size_bytes,
                       kv::ObjectId first_oid) {
-  // Size every store once for its expected share of the replicas, plus
-  // slack for placement imbalance: a node's share is binomial, and
-  // share / 16 + 16 exceeds several standard deviations of it at any count.
-  const std::uint64_t share =
-      count * static_cast<std::uint64_t>(config_.replication) /
-      config_.num_storage;
-  for (auto& node : storage_) {
-    node->reserve_objects(node->object_count() + share + share / 16 + 16);
+  // One placement pass records each object's holders, one byte per
+  // replica, and counts each node's share. Each store is then sized once
+  // for its share and filled in turn, so its inserts stay inside one
+  // table. The scratch is freed before the first event.
+  const auto degree = static_cast<std::size_t>(config_.replication);
+  if (count > std::numeric_limits<std::size_t>::max() / degree) {
+    throw std::length_error("Cluster::preload: object count too large");
   }
+  std::vector<std::uint8_t> holders(count * degree);
+  std::vector<std::size_t> share(storage_.size(), 0);
   std::vector<std::uint32_t> replicas;
-  replicas.reserve(static_cast<std::size_t>(config_.replication));
+  replicas.reserve(degree);
   for (std::uint64_t i = 0; i < count; ++i) {
-    const kv::ObjectId oid = first_oid + i;
-    kv::Version version;
-    version.ts = kv::Timestamp{0, 0, 0};
-    version.cfno = 0;
-    version.value = oid;
-    version.size_bytes = size_bytes;
-    placement_.replicas_into(oid, replicas);
-    for (std::uint32_t replica : replicas) {
-      storage_[replica]->preload(oid, version);
+    placement_.replicas_into(first_oid + i, replicas);
+    for (std::size_t r = 0; r < degree; ++r) {
+      holders[i * degree + r] = static_cast<std::uint8_t>(replicas[r]);
+      ++share[replicas[r]];
+    }
+  }
+  kv::Version version;
+  version.size_bytes = size_bytes;
+  for (std::size_t node = 0; node < storage_.size(); ++node) {
+    kv::StorageNode& store = *storage_[node];
+    store.reserve_objects(store.object_count() + share[node]);
+    for (std::size_t slot = 0; slot < holders.size(); ++slot) {
+      if (holders[slot] != node) continue;
+      const kv::ObjectId oid = first_oid + slot / degree;
+      version.value = oid;
+      store.preload(oid, version);
     }
   }
 }

@@ -11,6 +11,7 @@
 #include "util/time.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 namespace qopt::kv {
@@ -90,7 +91,7 @@ void Replicator::sweep() {
     for (std::uint32_t replica : replica_scratch) {
       StorageNode* node = nodes_[replica];
       if (node->crashed()) continue;
-      const Version* held = node->peek(oid);
+      const std::optional<Version> held = node->peek(oid);
       const bool stale =
           !held || held->ts < version.ts ||
           (held->ts == version.ts && held->cfno < version.cfno);

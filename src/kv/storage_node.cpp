@@ -12,6 +12,11 @@
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
+#include <compare>
+#include <optional>
+#include <stdexcept>
+#include <string>
+
 namespace qopt::kv {
 
 StorageNode::StorageNode(sim::Simulator& sim, Net& net, sim::NodeId self,
@@ -77,8 +82,15 @@ void StorageNode::restart() {
   ins_.restarts->inc();
 }
 
-const Version* StorageNode::peek(ObjectId oid) const {
-  return store_.find(oid);
+void PackedVersion::field_overflow(const char* field) {
+  throw std::length_error(std::string("kv::PackedVersion: ") + field +
+                          " is past its packed field");
+}
+
+std::optional<Version> StorageNode::peek(ObjectId oid) const {
+  const PackedVersion* stored = store_.find(oid);
+  if (stored == nullptr) return std::nullopt;
+  return stored->unpack();
 }
 
 void StorageNode::send_nack(const sim::NodeId& to, std::uint64_t op_id) {
@@ -93,8 +105,8 @@ void StorageNode::handle_read(const sim::NodeId& from,
     send_nack(from, req.op_id);
     return;
   }
-  const Version* current = store_.find(req.oid);
-  const std::uint64_t size = current != nullptr ? current->size_bytes : 0;
+  const PackedVersion* current = store_.find(req.oid);
+  const std::uint64_t size = current != nullptr ? current->size_bytes() : 0;
   const Time done = pool_.submit(sim_.now(), service_.read_time(size, rng_));
   if (req.span.valid()) {
     // Service interval is known up front, so the span opens and closes here
@@ -114,9 +126,9 @@ void StorageNode::handle_read(const sim::NodeId& from,
     ins_.reads_served->inc();
     StorageReadResp resp;
     resp.op_id = op_id;
-    if (const Version* stored = store_.find(oid)) {
+    if (const PackedVersion* stored = store_.find(oid)) {
       resp.found = true;
-      resp.version = *stored;  // cfno piggybacked inside the version
+      resp.version = stored->unpack();  // cfno piggybacked inside the version
     }
     net_.send(self_, from, resp);
   });
@@ -233,17 +245,19 @@ Time StorageNode::replicate_in(ObjectId oid, const Version& version) {
 }
 
 bool StorageNode::apply_freshest(ObjectId oid, const Version& version) {
-  auto [stored, inserted] = store_.try_emplace(oid, version);
+  const PackedVersion incoming = PackedVersion::pack(version);
+  auto [stored, inserted] = store_.try_emplace(oid, incoming);
   if (inserted) return true;
-  if (version.ts > stored->ts) {
-    *stored = version;
+  const std::strong_ordering order = incoming.ts_order(*stored);
+  if (order > 0) {
+    *stored = incoming;
     return true;
   }
-  if (version.ts == stored->ts && version.cfno > stored->cfno) {
+  if (order == 0 && incoming.cfno() > stored->cfno()) {
     // Same write re-propagated under a newer configuration (the read-repair
     // write-back of Algorithm 4): refresh the cfno tag so future reads need
     // not repeat the historical-quorum read.
-    stored->cfno = version.cfno;
+    stored->take_cfno(incoming);
     return true;
   }
   return false;

@@ -12,9 +12,11 @@
 //    disk-bound writes.
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,6 +34,74 @@
 #include "util/time.hpp"
 
 namespace qopt::kv {
+
+/// The store's record of a Version: four words, so that a store slot (the
+/// key plus the record) takes 40 bytes instead of 56. The wire keeps the
+/// five-word Version; the store packs at its entry points and unpacks on
+/// the way out. Two words each carry two narrowed fields:
+///   * proxy << 48 | seq orders, after `time`, exactly like Timestamp's
+///     (time, proxy, seq) while proxy < 2^16 and seq < 2^48;
+///   * cfno << 40 | size_bytes holds cfno < 2^24 and objects < 1 TiB.
+/// pack() throws std::length_error naming a field past its limit.
+class PackedVersion {
+ public:
+  static constexpr int kSeqBits = 48;
+  static constexpr int kSizeBits = 40;
+  static constexpr std::uint64_t kProxyLimit = 1ULL << (64 - kSeqBits);
+  static constexpr std::uint64_t kSeqLimit = 1ULL << kSeqBits;
+  static constexpr std::uint64_t kCfnoLimit = 1ULL << (64 - kSizeBits);
+  static constexpr std::uint64_t kSizeLimit = 1ULL << kSizeBits;
+
+  static PackedVersion pack(const Version& version) {
+    if (version.ts.proxy >= kProxyLimit) field_overflow("proxy");
+    if (version.ts.seq >= kSeqLimit) field_overflow("seq");
+    if (version.cfno >= kCfnoLimit) field_overflow("cfno");
+    if (version.size_bytes >= kSizeLimit) field_overflow("size_bytes");
+    PackedVersion packed;
+    packed.time_ = version.ts.time;
+    packed.proxy_seq_ =
+        (std::uint64_t{version.ts.proxy} << kSeqBits) | version.ts.seq;
+    packed.value_ = version.value;
+    packed.cfno_size_ = (version.cfno << kSizeBits) | version.size_bytes;
+    return packed;
+  }
+
+  Version unpack() const noexcept {
+    Version version;
+    version.ts.time = time_;
+    version.ts.proxy = static_cast<std::uint32_t>(proxy_seq_ >> kSeqBits);
+    version.ts.seq = proxy_seq_ & (kSeqLimit - 1);
+    version.cfno = cfno();
+    version.value = value_;
+    version.size_bytes = size_bytes();
+    return version;
+  }
+
+  std::uint64_t cfno() const noexcept { return cfno_size_ >> kSizeBits; }
+  std::uint64_t size_bytes() const noexcept {
+    return cfno_size_ & (kSizeLimit - 1);
+  }
+
+  /// Compares the two records' write timestamps, as Timestamp's <=> does.
+  std::strong_ordering ts_order(const PackedVersion& other) const noexcept {
+    if (time_ != other.time_) return time_ <=> other.time_;
+    return proxy_seq_ <=> other.proxy_seq_;
+  }
+
+  /// Takes `other`'s cfno tag and keeps everything else.
+  void take_cfno(const PackedVersion& other) noexcept {
+    cfno_size_ = (other.cfno_size_ & ~(kSizeLimit - 1)) |
+                 (cfno_size_ & (kSizeLimit - 1));
+  }
+
+ private:
+  [[noreturn]] static void field_overflow(const char* field);
+
+  Time time_ = 0;
+  std::uint64_t proxy_seq_ = 0;
+  std::uint64_t value_ = 0;
+  std::uint64_t cfno_size_ = 0;
+};
 
 class StorageNode {
  public:
@@ -62,8 +132,9 @@ class StorageNode {
   /// Number of distinct objects stored (tests/diagnostics).
   std::size_t object_count() const noexcept { return store_.size(); }
 
-  /// Direct store inspection for tests; returns nullptr when absent.
-  const Version* peek(ObjectId oid) const;
+  /// Direct store inspection for tests and the replicator: the stored
+  /// version, or nullopt when absent.
+  std::optional<Version> peek(ObjectId oid) const;
 
   /// Sizes the store once so that `objects` objects fit without growing
   /// (the bulk load phase calls this before preloading).
@@ -71,7 +142,7 @@ class StorageNode {
 
   /// Installs a version directly, bypassing the protocol (bulk load phase).
   void preload(ObjectId oid, const Version& version) {
-    store_.insert_or_assign(oid, version);
+    store_.insert_or_assign(oid, PackedVersion::pack(version));
   }
 
   /// Full store contents as an oid-ordered snapshot (diagnostics/tests).
@@ -79,8 +150,8 @@ class StorageNode {
   /// would leak its slot order.
   std::map<ObjectId, Version> sorted_contents() const {
     std::map<ObjectId, Version> out;
-    store_.for_each([&out](ObjectId oid, const Version& version) {
-      out.emplace(oid, version);
+    store_.for_each([&out](ObjectId oid, const PackedVersion& stored) {
+      out.emplace(oid, stored.unpack());
     });
     return out;
   }
@@ -91,7 +162,9 @@ class StorageNode {
   /// collect (the replicator stable-sorts into its scratch).
   template <typename Fn>
   void for_each_version(Fn&& fn) const {
-    store_.for_each(fn);
+    store_.for_each([&fn](ObjectId oid, const PackedVersion& stored) {
+      fn(oid, stored.unpack());
+    });
   }
 
   /// Anti-entropy push from the replicator daemon: pays write service time
@@ -117,7 +190,7 @@ class StorageNode {
   ServiceTimes service_;
   ServicePool pool_;
   Rng rng_;
-  FlatTable<Version> store_;
+  FlatTable<PackedVersion> store_;
   FullConfig config_;  // epno/cfno/current quorum state, from NEWEP messages
   bool crashed_ = false;
   /// Bumped on every crash: service-completion events scheduled before the

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 
 #include "core/cluster.hpp"
 #include "core/consistency.hpp"
@@ -207,11 +208,11 @@ TEST(AntiEntropyTest, RestoresFullRedundancyAfterSmallQuorumWrites) {
   for (kv::ObjectId oid = 0; oid < 50; ++oid) {
     kv::Timestamp freshest{};
     for (std::uint32_t r : cluster.placement().replicas(oid)) {
-      const kv::Version* version = cluster.storage(r).peek(oid);
+      const std::optional<kv::Version> version = cluster.storage(r).peek(oid);
       if (version && version->ts > freshest) freshest = version->ts;
     }
     for (std::uint32_t r : cluster.placement().replicas(oid)) {
-      const kv::Version* version = cluster.storage(r).peek(oid);
+      const std::optional<kv::Version> version = cluster.storage(r).peek(oid);
       if (!version || version->ts != freshest) ++divergent;
     }
   }

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <compare>
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <vector>
 
+#include "core/cluster.hpp"
 #include "kv/placement.hpp"
 #include "kv/quorum.hpp"
 #include "kv/service_model.hpp"
@@ -31,6 +37,38 @@ TEST(TimestampTest, TotalOrder) {
   EXPECT_LT(b, c);
   EXPECT_LT(a, c);
   EXPECT_EQ(a, (Timestamp{100, 0, 1}));
+}
+
+/// Every field of `v`, so that versions compare and print as tuples.
+auto fields(const Version& v) {
+  return std::tuple(v.ts.time, v.ts.proxy, v.ts.seq, v.cfno, v.value,
+                    v.size_bytes);
+}
+
+TEST(PackedVersionTest, OrdersLikeTimestampAndRoundTrips) {
+  // Few distinct times and proxies, so equal times and equal (time, proxy)
+  // pairs are common; the largest in-range proxy and seq sit beside small
+  // ones, where a misplaced shift would reorder them.
+  Rng rng(29);
+  const auto draw = [&rng] {
+    Version v;
+    v.ts.time = rng.uniform_int(0, 3);
+    v.ts.proxy = static_cast<std::uint32_t>(
+        rng.chance(0.2) ? PackedVersion::kProxyLimit - 1 : rng.next_below(3));
+    v.ts.seq = rng.chance(0.2) ? PackedVersion::kSeqLimit - 1
+                               : rng.next_below(4);
+    v.cfno = rng.next_below(PackedVersion::kCfnoLimit);
+    v.value = rng.next();
+    v.size_bytes = rng.next_below(PackedVersion::kSizeLimit);
+    return v;
+  };
+  for (int i = 0; i < 20'000; ++i) {
+    const Version a = draw();
+    const Version b = draw();
+    const PackedVersion pa = PackedVersion::pack(a);
+    EXPECT_EQ(pa.ts_order(PackedVersion::pack(b)), a.ts <=> b.ts);
+    EXPECT_EQ(fields(pa.unpack()), fields(a));
+  }
 }
 
 TEST(QuorumConfigTest, Strictness) {
@@ -261,14 +299,21 @@ TEST_F(StorageFixture, EqualTimestampHigherCfnoRefreshesTag) {
   v.ts = {100, 0, 1};
   v.cfno = 0;
   v.value = 5;
+  v.size_bytes = 4096;
   send(StorageWriteReq{7, 1, 0, v, {}});
   sim.run();
   Version writeback = v;
   writeback.cfno = 3;  // read-repair write-back under a newer config
   send(StorageWriteReq{7, 2, 0, writeback, {}});
   sim.run();
-  EXPECT_EQ(node->peek(7)->cfno, 3u);
-  EXPECT_EQ(node->peek(7)->value, 5u);
+  EXPECT_EQ(fields(*node->peek(7)), fields(writeback));
+  // cfno and size share a stored word: a lower tag is discarded and
+  // leaves both as they were.
+  Version older_tag = v;
+  older_tag.cfno = 2;
+  send(StorageWriteReq{7, 3, 0, older_tag, {}});
+  sim.run();
+  EXPECT_EQ(fields(*node->peek(7)), fields(writeback));
 }
 
 TEST_F(StorageFixture, StaleEpochGetsNack) {
@@ -356,6 +401,108 @@ TEST_F(StorageFixture, PreloadBypassesProtocol) {
   const auto& resp = std::get<StorageReadResp>(proxy_inbox.at(0));
   EXPECT_TRUE(resp.found);
   EXPECT_EQ(resp.version.value, 77u);
+}
+
+TEST_F(StorageFixture, NarrowedFieldsHoldTheirLargestValueAndThrowPastIt) {
+  struct Field {
+    const char* name;
+    void (*set)(Version&, std::uint64_t);
+    std::uint64_t limit;
+  };
+  const Field narrowed[] = {
+      {"proxy",
+       [](Version& v, std::uint64_t x) {
+         v.ts.proxy = static_cast<std::uint32_t>(x);
+       },
+       PackedVersion::kProxyLimit},
+      {"seq", [](Version& v, std::uint64_t x) { v.ts.seq = x; },
+       PackedVersion::kSeqLimit},
+      {"cfno", [](Version& v, std::uint64_t x) { v.cfno = x; },
+       PackedVersion::kCfnoLimit},
+      {"size_bytes", [](Version& v, std::uint64_t x) { v.size_bytes = x; },
+       PackedVersion::kSizeLimit},
+  };
+  ObjectId oid = 1;
+  for (const Field& field : narrowed) {
+    Version largest;
+    largest.ts = {5, 1, 1};
+    largest.cfno = 1;
+    largest.value = oid;
+    largest.size_bytes = 1;
+    field.set(largest, field.limit - 1);
+    node->preload(oid, largest);
+    ASSERT_TRUE(node->peek(oid).has_value()) << field.name;
+    EXPECT_EQ(fields(*node->peek(oid)), fields(largest)) << field.name;
+
+    Version past = largest;
+    field.set(past, field.limit);
+    try {
+      node->preload(oid + 100, past);
+      ADD_FAILURE() << field.name << " one past its limit was stored";
+    } catch (const std::length_error& e) {
+      EXPECT_NE(std::string(e.what()).find(field.name), std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(node->peek(oid + 100).has_value()) << field.name;
+    ++oid;
+  }
+}
+
+// ------------------------------------------------------------ bulk load
+//
+// Cluster::preload places each object once and fills the stores node by
+// node; every node must end with exactly its placement share.
+
+/// Each node's expected contents after loading `count` objects of
+/// `size_bytes` from `first_oid` over `expected`, as preload does.
+void place(const Placement& placement, std::uint64_t count,
+           std::uint64_t size_bytes, ObjectId first_oid,
+           std::vector<std::map<ObjectId, Version>>& expected) {
+  for (ObjectId oid = first_oid; oid < first_oid + count; ++oid) {
+    Version v;
+    v.value = oid;
+    v.size_bytes = size_bytes;
+    for (std::uint32_t node : placement.replicas(oid)) {
+      expected[node].insert_or_assign(oid, v);
+    }
+  }
+}
+
+void expect_contents(Cluster& cluster,
+                     const std::vector<std::map<ObjectId, Version>>& expected) {
+  for (std::uint32_t node = 0; node < expected.size(); ++node) {
+    const std::map<ObjectId, Version> actual =
+        cluster.storage(node).sorted_contents();
+    EXPECT_EQ(cluster.storage(node).object_count(), expected[node].size())
+        << "node " << node;
+    ASSERT_EQ(actual.size(), expected[node].size()) << "node " << node;
+    for (auto a = actual.begin(), e = expected[node].begin();
+         a != actual.end(); ++a, ++e) {
+      ASSERT_EQ(a->first, e->first) << "node " << node;
+      EXPECT_EQ(fields(a->second), fields(e->second))
+          << "node " << node << " oid " << a->first;
+    }
+  }
+}
+
+TEST(BulkLoadTest, EveryNodeHoldsItsPlacementShare) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("cluster seed " + std::to_string(seed));
+    ClusterConfig config;
+    config.seed = seed;
+    Cluster cluster(config);
+    std::vector<std::map<ObjectId, Version>> expected(config.num_storage);
+
+    cluster.preload(3000, 4096);
+    place(cluster.placement(), 3000, 4096, 0, expected);
+    expect_contents(cluster, expected);
+
+    // A second load over a range that half overlaps the first, with
+    // another size: overlapping objects take the later version.
+    cluster.preload(2000, 512, 1500);
+    place(cluster.placement(), 2000, 512, 1500, expected);
+    expect_contents(cluster, expected);
+  }
 }
 
 // ------------------------------------------------ storage write dedup window

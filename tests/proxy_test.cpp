@@ -158,7 +158,7 @@ struct ProxyHarness : ::testing::Test {
 
   std::uint64_t replicas_holding(kv::ObjectId oid) const {
     std::uint64_t count = 0;
-    for (const auto& node : storage) count += node->peek(oid) != nullptr;
+    for (const auto& node : storage) count += node->peek(oid).has_value();
     return count;
   }
 };

@@ -276,7 +276,7 @@ TEST_F(DedupFixture, TwiceDeliveredWriteIsAppliedOnceAndAckedTwice) {
   EXPECT_TRUE(std::holds_alternative<kv::StorageWriteResp>(proxy_inbox[1]));
   EXPECT_EQ(counter("writes_applied"), 1u);
   EXPECT_EQ(counter("dup_writes_ignored"), 1u);
-  ASSERT_NE(node->peek(7), nullptr);
+  ASSERT_TRUE(node->peek(7).has_value());
   EXPECT_EQ(node->peek(7)->value, 5u);
 }
 
@@ -314,7 +314,7 @@ TEST_F(DedupFixture, CrashClearsTheDedupTableWithTheRam) {
   sim.run();
   EXPECT_EQ(counter("dup_writes_ignored"), 0u);
   EXPECT_EQ(counter("restarts"), 1u);
-  ASSERT_NE(node->peek(7), nullptr);  // durable across the crash
+  ASSERT_TRUE(node->peek(7).has_value());  // durable across the crash
   EXPECT_EQ(node->peek(7)->value, 5u);
 }
 

@@ -77,7 +77,7 @@ TEST_P(TopologyMatrix, WriteLandsOnExactlyWriteQuorumReplicas) {
   for (kv::ObjectId oid = 0; oid < 20; ++oid) {
     int holders = 0;
     for (std::uint32_t replica : cluster.placement().replicas(oid)) {
-      holders += cluster.storage(replica).peek(oid) != nullptr;
+      holders += cluster.storage(replica).peek(oid).has_value();
     }
     if (holders == 0) continue;  // key never written by the workload
     EXPECT_GE(holders, w) << "oid " << oid;

@@ -138,7 +138,7 @@ TEST(TraceReplayTest, LoopingOneObjectTraceRunsTheDataPathOnAHashedId) {
   EXPECT_TRUE(cluster.checker().clean());
   int holders = 0;
   for (std::uint32_t replica : cluster.placement().replicas(oid)) {
-    holders += cluster.storage(replica).peek(oid) != nullptr;
+    holders += cluster.storage(replica).peek(oid).has_value();
   }
   EXPECT_GE(holders, 2);  // W=2
 }
