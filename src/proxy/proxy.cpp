@@ -762,14 +762,13 @@ void Proxy::finish_op(std::uint64_t op_id, PendingOp& op) {
   }
 
   if (op.kind != PendingOp::Kind::kWriteBack) {
-    const std::uint64_t size =
-        is_read ? (op.any_found ? op.best.size_bytes : 0)
-                : op.write_version.size_bytes;
-    note_access(op.oid, !is_read, size);
     const Duration latency = sim_.now() - op.start_time;
     auto* hist = is_read ? ins_.read_latency_ns : ins_.write_latency_ns;
     hist->record(static_cast<double>(latency));
-    round_latency_sum_ms_ += to_millis(latency);
+    note_access(op.oid, !is_read,
+                is_read ? (op.any_found ? op.best.size_bytes : 0)
+                        : op.write_version.size_bytes,
+                latency);
     if (on_complete_) {
       on_complete_(OpRecord{op.oid, !is_read, op.start_time, sim_.now(),
                             self_.index, op.cfno_used, op.replied.members()});
@@ -909,8 +908,11 @@ void Proxy::adopt_full_config(const kv::FullConfig& config) {
 
 // ------------------------------------------------------------- monitoring
 
-void Proxy::note_access(ObjectId oid, bool is_write, std::uint64_t size) {
+void Proxy::note_access(ObjectId oid, bool is_write, std::uint64_t size,
+                        Duration latency) {
+  if (!round_open_) return;
   ++round_ops_completed_;
+  round_latency_sum_ms_ += to_millis(latency);
   summary_.add(oid);
   auto update = [&](ObjCounters& counters) {
     if (is_write) {
@@ -934,6 +936,7 @@ void Proxy::note_access(ObjectId oid, bool is_write, std::uint64_t size) {
 void Proxy::handle_new_round(const sim::NodeId& from,
                              const kv::NewRoundMsg& msg) {
   current_round_ = msg.round;
+  round_open_ = true;
   round_started_ = sim_.now();
   round_ops_completed_ = 0;
   round_latency_sum_ms_ = 0;
@@ -945,6 +948,7 @@ void Proxy::handle_new_round(const sim::NodeId& from,
     QOPT_PROFILE_SCOPE(obs_, obs::ProfSubsystem::kProxy);
     if (crashed_ || current_round_ != round) return;
     send_round_stats(from, round);
+    round_open_ = false;
   });
 }
 

@@ -354,7 +354,10 @@ class Proxy {
   void handle_new_round(const sim::NodeId& from, const kv::NewRoundMsg&);
   void handle_new_topk(const kv::NewTopKMsg&);
   void send_round_stats(const sim::NodeId& am, std::uint64_t round);
-  void note_access(kv::ObjectId oid, bool is_write, std::uint64_t size);
+  /// Counts one completed client op into the open round; a no-op while no
+  /// round is open.
+  void note_access(kv::ObjectId oid, bool is_write, std::uint64_t size,
+                   Duration latency);
 
   const kv::QuorumStrategy& base_strategy(kv::ObjectId oid) const;
   const kv::QuorumStrategy& pending_strategy(kv::ObjectId oid) const;
@@ -448,6 +451,10 @@ class Proxy {
   double round_latency_sum_ms_ = 0;
   Time round_started_ = 0;
   std::uint64_t current_round_ = 0;
+  // Open from a NEWROUND until its ROUNDSTATS is sent. Only that report
+  // reads the counters above, and the next NEWROUND clears them, so
+  // counting outside the window would be thrown away.
+  bool round_open_ = false;
 
   // Observability: counters cached at construction, bumped on the hot path.
   obs::Observability& obs_;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -485,6 +486,76 @@ TEST_F(ProxyHarness, MonitoringRoundReportsStats) {
   EXPECT_GT(stats.throughput_ops, 0.0);
   // Candidate hotspots exclude the already-monitored object 7.
   for (const auto& candidate : stats.topk) EXPECT_NE(candidate.oid, 7u);
+}
+
+TEST_F(ProxyHarness, OpsServedBeforeTheFirstRoundLeaveItsReportAlone) {
+  // The proxy counts only inside an open round, so 1,000 ops served before
+  // its first NEWROUND must not change what that round reports.
+  std::vector<Message> am_inbox;
+  net.register_node(sim::am_id(),
+                    [&](const sim::NodeId&, const Message& m) {
+                      am_inbox.push_back(m);
+                    });
+  const auto report_after = [&](std::uint64_t ops_before) {
+    build({1, 5});
+    am_inbox.clear();
+    for (std::uint64_t i = 0; i < ops_before; ++i) {
+      const kv::ObjectId oid = 100 + i % 50;
+      if (i % 3 == 0) {
+        client_write(oid, i + 1, i, 512);
+      } else {
+        client_read(oid, i + 1);
+      }
+    }
+    sim.run();
+    net.send(sim::am_id(), sim::proxy_id(0), kv::NewTopKMsg{0, {7}});
+    sim.run();
+    net.send(sim::am_id(), sim::proxy_id(0),
+             kv::NewRoundMsg{1, milliseconds(100)});
+    sim.run(sim.now() + milliseconds(40));
+    client_write(7, 10'001, 100, 2048);
+    client_read(7, 10'002);
+    client_read(8, 10'003);
+    sim.run();
+    EXPECT_EQ(am_inbox.size(), 1u);
+    return std::get<kv::RoundStatsMsg>(am_inbox.at(0));
+  };
+  const kv::RoundStatsMsg busy = report_after(1'000);
+  const kv::RoundStatsMsg idle = report_after(0);
+
+  const auto topk = [](const kv::RoundStatsMsg& m) {
+    std::vector<std::tuple<kv::ObjectId, std::uint64_t, std::uint64_t>> out;
+    for (const kv::TopKReport& r : m.topk) {
+      out.emplace_back(r.oid, r.count, r.error);
+    }
+    return out;
+  };
+  const auto monitored = [](const kv::RoundStatsMsg& m) {
+    std::vector<std::tuple<kv::ObjectId, std::uint64_t, std::uint64_t,
+                           double>>
+        out;
+    for (const kv::ObjectStats& o : m.stats_topk) {
+      out.emplace_back(o.oid, o.reads, o.writes, o.avg_size_bytes);
+    }
+    return out;
+  };
+  const auto tail = [](const kv::RoundStatsMsg& m) {
+    return std::tuple(m.stats_tail.reads, m.stats_tail.writes,
+                      m.stats_tail.avg_size_bytes);
+  };
+  EXPECT_EQ(busy.round, idle.round);
+  EXPECT_EQ(topk(busy), topk(idle));
+  EXPECT_EQ(monitored(busy), monitored(idle));
+  EXPECT_EQ(tail(busy), tail(idle));
+  EXPECT_EQ(busy.throughput_ops, idle.throughput_ops);
+  EXPECT_EQ(busy.avg_latency_ms, idle.avg_latency_ms);
+  // The round itself was counted: monitored object 7's write and read, and
+  // in the tail (every object without an override) all three ops.
+  ASSERT_EQ(idle.stats_topk.size(), 1u);
+  EXPECT_EQ(idle.stats_topk[0].writes, 1u);
+  EXPECT_EQ(idle.stats_topk[0].reads, 1u);
+  EXPECT_EQ(tail(idle), std::tuple(2u, 1u, 2048.0));
+  EXPECT_DOUBLE_EQ(idle.throughput_ops, 30.0);  // 3 ops in 100 ms
 }
 
 // ------------------------------------------------------------- op table
