@@ -23,6 +23,7 @@
 #include "core/cluster.hpp"
 #include "core/nemesis.hpp"
 #include "kv/quorum.hpp"
+#include "kv/storage_node.hpp"
 #include "obs/report.hpp"
 #include "obs/span_export.hpp"
 #include "oracle/strategy_optimizer.hpp"
@@ -40,7 +41,7 @@ void usage() {
       "workload:   --workload ycsb-a|ycsb-b|backup-c|sweep   (default ycsb-a)\n"
       "            --write-ratio F   (sweep only, default 0.5)\n"
       "            --objects N       (default 10000)\n"
-      "            --object-bytes N  (default 4096)\n"
+      "            --object-bytes N  (default 4096, below 2^40)\n"
       "topology:   --storage N --proxies N --clients-per-proxy N\n"
       "            --replication N   (default 5)\n"
       "            --rm-replicas N   (replicated RM with leader failover;\n"
@@ -194,8 +195,16 @@ int main(int argc, char** argv) {
 
   const auto objects =
       static_cast<std::uint64_t>(flags.get_int("objects", 10'000));
-  const auto object_bytes =
-      static_cast<std::uint64_t>(flags.get_int("object-bytes", 4096));
+  const std::int64_t object_bytes_flag = flags.get_int("object-bytes", 4096);
+  if (object_bytes_flag < 0 ||
+      static_cast<std::uint64_t>(object_bytes_flag) >=
+          kv::PackedVersion::kSizeLimit) {
+    std::fprintf(stderr,
+                 "--object-bytes must be in [0, 2^40): the store's size "
+                 "field is 40 bits\n");
+    return 2;
+  }
+  const auto object_bytes = static_cast<std::uint64_t>(object_bytes_flag);
   const std::string workload_name = flags.get_string("workload", "ycsb-a");
   const double duration_s = flags.get_double("duration", 60);
   const double warmup_s = flags.get_double("warmup", 5);
