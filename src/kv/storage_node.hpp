@@ -44,9 +44,10 @@ namespace qopt::kv {
 ///   * cfno << 40 | size_bytes holds cfno < 2^24 and objects < 1 TiB.
 /// pack() throws std::length_error naming a field past its limit.
 class PackedVersion {
- public:
   static constexpr int kSeqBits = 48;
   static constexpr int kSizeBits = 40;
+
+ public:
   static constexpr std::uint64_t kProxyLimit = 1ULL << (64 - kSeqBits);
   static constexpr std::uint64_t kSeqLimit = 1ULL << kSeqBits;
   static constexpr std::uint64_t kCfnoLimit = 1ULL << (64 - kSizeBits);
