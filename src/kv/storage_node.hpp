@@ -103,6 +103,8 @@ class PackedVersion {
   std::uint64_t value_ = 0;
   std::uint64_t cfno_size_ = 0;
 };
+static_assert(sizeof(PackedVersion) == 32,
+              "a store slot is the 8-byte key plus this record");
 
 class StorageNode {
  public:
