@@ -23,17 +23,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
 namespace qopt {
-namespace {
-
-/// preload() records each replica's storage node in one byte.
-constexpr std::uint32_t kMaxStorageNodes = 256;
-
-}  // namespace
 
 Cluster::Cluster(const ClusterConfig& config)
     : config_(config),
@@ -56,9 +49,6 @@ Cluster::Cluster(const ClusterConfig& config)
   // field (kv::PackedVersion).
   if (config_.num_proxies >= kv::PackedVersion::kProxyLimit) {
     throw std::invalid_argument("Cluster: at most 65535 proxies");
-  }
-  if (config_.num_storage > kMaxStorageNodes) {
-    throw std::invalid_argument("Cluster: at most 256 storage nodes");
   }
 
   net_.bind_observability(&obs_);
@@ -186,36 +176,18 @@ Cluster::~Cluster() = default;
 
 void Cluster::preload(std::uint64_t count, std::uint64_t size_bytes,
                       kv::ObjectId first_oid) {
-  // One placement pass records each object's holders, one byte per
-  // replica, and counts each node's share. Each store is then sized once
-  // for its share and filled in turn, so its inserts stay inside one
-  // table. The scratch is freed before the first event.
-  const auto degree = static_cast<std::size_t>(config_.replication);
-  if (count > std::numeric_limits<std::size_t>::max() / degree) {
-    throw std::length_error("Cluster::preload: object count too large");
-  }
-  std::vector<std::uint8_t> holders(count * degree);
-  std::vector<std::size_t> share(storage_.size(), 0);
+  // One placement pass sets, for each storage node, one bit per object it
+  // holds; each node keeps its bits instead of a version per object.
+  std::vector<std::vector<bool>> held(storage_.size(),
+                                      std::vector<bool>(count));
   std::vector<std::uint32_t> replicas;
-  replicas.reserve(degree);
+  replicas.reserve(static_cast<std::size_t>(config_.replication));
   for (std::uint64_t i = 0; i < count; ++i) {
     placement_.replicas_into(first_oid + i, replicas);
-    for (std::size_t r = 0; r < degree; ++r) {
-      holders[i * degree + r] = static_cast<std::uint8_t>(replicas[r]);
-      ++share[replicas[r]];
-    }
+    for (const std::uint32_t node : replicas) held[node][i] = true;
   }
-  kv::Version version;
-  version.size_bytes = size_bytes;
   for (std::size_t node = 0; node < storage_.size(); ++node) {
-    kv::StorageNode& store = *storage_[node];
-    store.reserve_objects(store.object_count() + share[node]);
-    for (std::size_t slot = 0; slot < holders.size(); ++slot) {
-      if (holders[slot] != node) continue;
-      const kv::ObjectId oid = first_oid + slot / degree;
-      version.value = oid;
-      store.preload(oid, version);
-    }
+    storage_[node]->load(first_oid, size_bytes, std::move(held[node]));
   }
 }
 

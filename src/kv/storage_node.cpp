@@ -16,6 +16,8 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace qopt::kv {
 
@@ -87,10 +89,70 @@ void PackedVersion::field_overflow(const char* field) {
                           " is past its packed field");
 }
 
+namespace {
+
+/// The freshest-wins rule on one stored record: takes `incoming` when its
+/// timestamp is newer, takes its cfno tag when the same write arrives under
+/// a newer configuration (the read-repair write-back of Algorithm 4, so
+/// future reads need not repeat the historical-quorum read). Returns false
+/// when it discards `incoming`.
+bool freshest_wins(PackedVersion& stored, const PackedVersion& incoming) {
+  const std::strong_ordering order = incoming.ts_order(stored);
+  if (order > 0) {
+    stored = incoming;
+    return true;
+  }
+  if (order == 0 && incoming.cfno() > stored.cfno()) {
+    stored.take_cfno(incoming);
+    return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+void StorageNode::load(ObjectId first, std::uint64_t size_bytes,
+                       std::vector<bool> held) {
+  BulkLoad added{first, size_bytes, std::move(held)};
+  // The per-object path's check: throws std::length_error for a size past
+  // its packed field before anything is installed.
+  PackedVersion::pack(added.version_of(first));
+  // A load replaces what the node held for its objects, written or loaded.
+  // A load before any write (the usual set-up) has nothing to replace.
+  if (!store_.empty()) {
+    for (std::uint64_t i = 0; i < added.held.size(); ++i) {
+      if (added.held[i]) store_.erase(first + i);
+    }
+  }
+  loads_.push_back(std::move(added));
+}
+
+const StorageNode::BulkLoad* StorageNode::newest_load_holding(
+    ObjectId oid) const noexcept {
+  for (auto load = loads_.rbegin(); load != loads_.rend(); ++load) {
+    if (load->holds(oid)) return &*load;
+  }
+  return nullptr;
+}
+
+std::optional<PackedVersion> StorageNode::stored_version(ObjectId oid) const {
+  if (const PackedVersion* written = store_.find(oid)) return *written;
+  if (const BulkLoad* load = newest_load_holding(oid)) {
+    return PackedVersion::pack(load->version_of(oid));
+  }
+  return std::nullopt;
+}
+
 std::optional<Version> StorageNode::peek(ObjectId oid) const {
-  const PackedVersion* stored = store_.find(oid);
-  if (stored == nullptr) return std::nullopt;
+  const std::optional<PackedVersion> stored = stored_version(oid);
+  if (!stored) return std::nullopt;
   return stored->unpack();
+}
+
+std::size_t StorageNode::object_count() const {
+  std::size_t count = 0;
+  for_each_version([&count](ObjectId, const Version&) { ++count; });
+  return count;
 }
 
 void StorageNode::send_nack(const sim::NodeId& to, std::uint64_t op_id) {
@@ -105,8 +167,8 @@ void StorageNode::handle_read(const sim::NodeId& from,
     send_nack(from, req.op_id);
     return;
   }
-  const PackedVersion* current = store_.find(req.oid);
-  const std::uint64_t size = current != nullptr ? current->size_bytes() : 0;
+  const std::optional<PackedVersion> current = stored_version(req.oid);
+  const std::uint64_t size = current ? current->size_bytes() : 0;
   const Time done = pool_.submit(sim_.now(), service_.read_time(size, rng_));
   if (req.span.valid()) {
     // Service interval is known up front, so the span opens and closes here
@@ -126,7 +188,7 @@ void StorageNode::handle_read(const sim::NodeId& from,
     ins_.reads_served->inc();
     StorageReadResp resp;
     resp.op_id = op_id;
-    if (const PackedVersion* stored = store_.find(oid)) {
+    if (const std::optional<PackedVersion> stored = stored_version(oid)) {
       resp.found = true;
       resp.version = stored->unpack();  // cfno piggybacked inside the version
     }
@@ -246,21 +308,19 @@ Time StorageNode::replicate_in(ObjectId oid, const Version& version) {
 
 bool StorageNode::apply_freshest(ObjectId oid, const Version& version) {
   const PackedVersion incoming = PackedVersion::pack(version);
-  auto [stored, inserted] = store_.try_emplace(oid, incoming);
-  if (inserted) return true;
-  const std::strong_ordering order = incoming.ts_order(*stored);
-  if (order > 0) {
-    *stored = incoming;
+  if (PackedVersion* written = store_.find(oid)) {
+    return freshest_wins(*written, incoming);
+  }
+  if (const BulkLoad* load = newest_load_holding(oid)) {
+    // A loaded version enters the table only when the write supersedes it
+    // or refreshes its tag; a discarded write stores nothing.
+    PackedVersion loaded = PackedVersion::pack(load->version_of(oid));
+    if (!freshest_wins(loaded, incoming)) return false;
+    store_.try_emplace(oid, loaded);
     return true;
   }
-  if (order == 0 && incoming.cfno() > stored->cfno()) {
-    // Same write re-propagated under a newer configuration (the read-repair
-    // write-back of Algorithm 4): refresh the cfno tag so future reads need
-    // not repeat the historical-quorum read.
-    stored->take_cfno(incoming);
-    return true;
-  }
-  return false;
+  store_.try_emplace(oid, incoming);
+  return true;
 }
 
 void StorageNode::handle_new_epoch(const sim::NodeId& from,

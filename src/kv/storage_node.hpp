@@ -132,42 +132,62 @@ class StorageNode {
   const FullConfig& config() const noexcept { return config_; }
   const ServicePool& service_pool() const noexcept { return pool_; }
 
-  /// Number of distinct objects stored (tests/diagnostics).
-  std::size_t object_count() const noexcept { return store_.size(); }
+  /// Number of distinct objects stored, loaded or written
+  /// (tests/diagnostics).
+  std::size_t object_count() const;
 
   /// Direct store inspection for tests and the replicator: the stored
-  /// version, or nullopt when absent.
+  /// version (the written one, else the newest bulk load's), or nullopt
+  /// when absent.
   std::optional<Version> peek(ObjectId oid) const;
 
-  /// Sizes the store once so that `objects` objects fit without growing
-  /// (the bulk load phase calls this before preloading).
-  void reserve_objects(std::size_t objects) { store_.reserve(objects); }
+  /// Bulk load phase: the node holds object `first + i` wherever `held[i]`
+  /// is set, at its loaded version (time 0, proxy 0, seq 0, cfno 0, value
+  /// = oid, `size_bytes`). The node keeps the bits, not a version per
+  /// object. A held object's written version is dropped, as preload()
+  /// would replace it. Throws std::length_error, installing nothing, when
+  /// `size_bytes` is past PackedVersion::kSizeLimit.
+  void load(ObjectId first, std::uint64_t size_bytes, std::vector<bool> held);
 
-  /// Installs a version directly, bypassing the protocol (bulk load phase).
+  /// Installs a version directly, bypassing the protocol (tests).
   void preload(ObjectId oid, const Version& version) {
     store_.insert_or_assign(oid, PackedVersion::pack(version));
   }
+
+  /// The table of versions installed after the loads (diagnostics: the
+  /// allocation gate counts its doublings from its capacity).
+  const FlatTable<PackedVersion>& written() const noexcept { return store_; }
 
   /// Full store contents as an oid-ordered snapshot (diagnostics/tests).
   /// The live store is a hash table for the hot path; exposing it directly
   /// would leak its slot order.
   std::map<ObjectId, Version> sorted_contents() const {
     std::map<ObjectId, Version> out;
-    store_.for_each([&out](ObjectId oid, const PackedVersion& stored) {
-      out.emplace(oid, stored.unpack());
+    for_each_version([&out](ObjectId oid, const Version& version) {
+      out.emplace(oid, version);
     });
     return out;
   }
 
-  /// Visits every stored (oid, version) pair without materializing a
-  /// snapshot (anti-entropy sweeps). Iteration follows the hash table's
-  /// slot order, so callers deriving schedules from it must sort what they
-  /// collect (the replicator stable-sorts into its scratch).
+  /// Visits every stored (oid, version) pair once, written or loaded,
+  /// without materializing a snapshot (anti-entropy sweeps). Iteration
+  /// follows the hash table's slot order, then the loads' oid order, so
+  /// callers deriving schedules from it must sort what they collect (the
+  /// replicator stable-sorts into its scratch).
   template <typename Fn>
   void for_each_version(Fn&& fn) const {
-    store_.for_each([&fn](ObjectId oid, const PackedVersion& stored) {
-      fn(oid, stored.unpack());
+    store_.for_each([&fn](ObjectId oid, const PackedVersion& written) {
+      fn(oid, written.unpack());
     });
+    for (const BulkLoad& load : loads_) {
+      for (std::uint64_t i = 0; i < load.held.size(); ++i) {
+        const ObjectId oid = load.first + i;
+        if (load.held[i] && newest_load_holding(oid) == &load &&
+            !store_.contains(oid)) {
+          fn(oid, load.version_of(oid));
+        }
+      }
+    }
   }
 
   /// Anti-entropy push from the replicator daemon: pays write service time
@@ -187,12 +207,37 @@ class StorageNode {
   /// under a newer configuration. Returns false when it discards `version`.
   bool apply_freshest(ObjectId oid, const Version& version);
 
+  /// One bulk load's objects on this node.
+  struct BulkLoad {
+    ObjectId first = 0;
+    std::uint64_t size_bytes = 0;
+    std::vector<bool> held;  // held[i]: this node holds object first + i
+
+    bool holds(ObjectId oid) const noexcept {
+      return oid >= first && oid - first < held.size() && held[oid - first];
+    }
+    Version version_of(ObjectId oid) const noexcept {
+      Version version;
+      version.value = oid;
+      version.size_bytes = size_bytes;
+      return version;
+    }
+  };
+
+  /// The newest load that holds `oid`, or nullptr.
+  const BulkLoad* newest_load_holding(ObjectId oid) const noexcept;
+  /// The stored version of `oid`: the written one, else the newest load's.
+  std::optional<PackedVersion> stored_version(ObjectId oid) const;
+
   sim::Simulator& sim_;
   Net& net_;
   sim::NodeId self_;
   ServiceTimes service_;
   ServicePool pool_;
   Rng rng_;
+  std::vector<BulkLoad> loads_;  // oldest first
+  /// Versions installed after the loads: writes, repairs and preload().
+  /// A version here shadows any loaded one for its oid.
   FlatTable<PackedVersion> store_;
   FullConfig config_;  // epno/cfno/current quorum state, from NEWEP messages
   bool crashed_ = false;

@@ -33,9 +33,6 @@ TEST(ClusterTest, InvalidConfigurationThrows) {
   config = tiny();
   config.num_proxies = 1u << 16;  // past the store's 16-bit proxy field
   EXPECT_THROW(Cluster{config}, std::invalid_argument);
-  config = tiny();
-  config.num_storage = 257;  // past preload's one-byte holder records
-  EXPECT_THROW(Cluster{config}, std::invalid_argument);
 }
 
 TEST(ClusterTest, ClosedLoopClientsCompleteOps) {

@@ -217,6 +217,15 @@ TEST(ServicePoolTest, UtilizationTracksBusyTime) {
 
 // ------------------------------------------------------------ storage node
 
+/// `contents` with each version as its field tuple, so that whole stores
+/// compare and print field by field.
+std::map<ObjectId, decltype(fields(Version{}))> as_fields(
+    const std::map<ObjectId, Version>& contents) {
+  std::map<ObjectId, decltype(fields(Version{}))> out;
+  for (const auto& [oid, v] : contents) out.emplace(oid, fields(v));
+  return out;
+}
+
 struct StorageFixture : ::testing::Test {
   using Net = sim::Network<Message>;
 
@@ -245,6 +254,11 @@ struct StorageFixture : ::testing::Test {
 
   void send(const Message& m) {
     net.send(sim::proxy_id(0), sim::storage_id(0), m);
+  }
+
+  std::uint64_t counter(const char* field) const {
+    return telemetry.registry().counter_value(
+        obs::instrument_name("storage", 0, field));
   }
 };
 
@@ -450,10 +464,252 @@ TEST_F(StorageFixture, NarrowedFieldsHoldTheirLargestValueAndThrowPastIt) {
   }
 }
 
+// ------------------------------------------------------------ store model
+//
+// A node keeps each bulk load as one bit per object and a table of the
+// versions installed after the loads. Whatever the mix of loads, preloads,
+// writes and repairs, it must answer exactly as one map from oid to version
+// does, and its table must hold exactly the versions installed after the
+// loads that still stand.
+
+struct StoreModelFixture : StorageFixture {
+  /// Each episode of the random test works on its own oids, [base, base +
+  /// kOids); its loads stay below base + 80.
+  static constexpr ObjectId kOids = 100;
+
+  ObjectId base = 0;
+  std::map<ObjectId, Version> model;
+  std::set<ObjectId> written;  // the oids the node's table must hold
+  std::uint64_t next_op = 1;
+
+  static Version loaded(ObjectId oid, std::uint64_t size_bytes) {
+    Version v;
+    v.value = oid;
+    v.size_bytes = size_bytes;
+    return v;
+  }
+
+  void load(ObjectId first, std::uint64_t size_bytes,
+            const std::vector<bool>& held) {
+    node->load(first, size_bytes, held);
+    for (std::uint64_t i = 0; i < held.size(); ++i) {
+      if (!held[i]) continue;
+      model.insert_or_assign(first + i, loaded(first + i, size_bytes));
+      written.erase(first + i);
+    }
+  }
+
+  void preload(ObjectId oid, const Version& v) {
+    node->preload(oid, v);
+    model.insert_or_assign(oid, v);
+    written.insert(oid);
+  }
+
+  /// The freshest-wins rule on the model; false when it discards `v`.
+  bool apply(ObjectId oid, const Version& v) {
+    const auto it = model.find(oid);
+    if (it == model.end() || it->second.ts < v.ts) {
+      model.insert_or_assign(oid, v);
+    } else if (it->second.ts == v.ts && it->second.cfno < v.cfno) {
+      it->second.cfno = v.cfno;  // a write-back moves only the tag
+    } else {
+      return false;
+    }
+    written.insert(oid);
+    return true;
+  }
+
+  /// Writes `v` through the protocol; the node must apply or discard it as
+  /// the model does, and a discarded write must store nothing.
+  void write(ObjectId oid, const Version& v) {
+    const std::size_t table = node->written().size();
+    const std::uint64_t discarded = counter("writes_discarded");
+    send(StorageWriteReq{oid, next_op++, 0, v, {}});
+    sim.run();
+    const bool applied = apply(oid, v);
+    EXPECT_EQ(counter("writes_discarded") - discarded, applied ? 0u : 1u)
+        << "oid " << oid;
+    if (!applied) {
+      EXPECT_EQ(node->written().size(), table) << "oid " << oid;
+    }
+  }
+
+  /// An anti-entropy push of `v`, under the same rule.
+  void replicate(ObjectId oid, const Version& v) {
+    const std::size_t table = node->written().size();
+    node->replicate_in(oid, v);
+    sim.run();
+    if (!apply(oid, v)) {
+      EXPECT_EQ(node->written().size(), table) << "oid " << oid;
+    }
+  }
+
+  /// Reads `oid` through the protocol: the reply, and the size its service
+  /// time charged, must be the model's.
+  void expect_read(ObjectId oid) {
+    const std::size_t replies = proxy_inbox.size();
+    const Time sent = sim.now();
+    send(StorageReadReq{oid, next_op++, 0, {}});
+    sim.run();
+    ASSERT_EQ(proxy_inbox.size(), replies + 1) << "oid " << oid;
+    const auto& resp = std::get<StorageReadResp>(proxy_inbox.back());
+    const auto expected = model.find(oid);
+    const bool held = expected != model.end();
+    EXPECT_EQ(resp.found, held) << "oid " << oid;
+    if (held) {
+      EXPECT_EQ(fields(resp.version), fields(expected->second))
+          << "oid " << oid;
+    }
+    // The jitter is off, so the round trip is the fixture's two 50 us hops
+    // plus the read time of the size charged.
+    Rng unused(1);
+    const std::uint64_t size = held ? expected->second.size_bytes : 0;
+    EXPECT_EQ(sim.now() - sent,
+              2 * microseconds(50) + service.read_time(size, unused))
+        << "oid " << oid;
+  }
+
+  void expect_matches_model() {
+    for (ObjectId oid = base; oid < base + kOids; ++oid) {
+      const auto expected = model.find(oid);
+      const std::optional<Version> got = node->peek(oid);
+      ASSERT_EQ(got.has_value(), expected != model.end()) << "oid " << oid;
+      if (got) {
+        EXPECT_EQ(fields(*got), fields(expected->second)) << "oid " << oid;
+      }
+    }
+    EXPECT_EQ(node->object_count(), model.size());
+    EXPECT_EQ(as_fields(node->sorted_contents()), as_fields(model));
+    EXPECT_EQ(node->written().size(), written.size());
+  }
+};
+
+TEST_F(StoreModelFixture, RandomOperationsMatchAMapOfVersions) {
+  Rng pick(41);
+  const auto size = [&pick] { return 1024 * (1 + pick.next_below(8)); };
+  const auto random_version = [&] {
+    Version v;
+    v.ts = {static_cast<Time>(pick.next_below(4)),
+            static_cast<std::uint32_t>(pick.next_below(2)), pick.next_below(3)};
+    v.cfno = pick.next_below(4);
+    v.value = pick.next();
+    v.size_bytes = size();
+    return v;
+  };
+  // Nothing leaves the store, so held oids accumulate: eight episodes of
+  // 50 steps, each on fresh oids, keep unheld oids inside and outside the
+  // loads' ranges in reach. Later episodes' loads stack on earlier ones.
+  std::set<ObjectId> in_a_range;
+  std::uint64_t reads[3] = {0, 0, 0};  // held, unheld in a range, never loaded
+  std::uint64_t loaded_writebacks = 0;
+  for (int step = 0; step < 400; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    base = static_cast<ObjectId>(step / 50) * 1000;
+    const ObjectId oid = base + pick.next_below(kOids);
+    switch (pick.next_below(6)) {
+      case 0: {  // a load over 10-50 oids from base + 1-30, 60% held
+        const ObjectId first = base + 1 + pick.next_below(30);
+        std::vector<bool> held(10 + pick.next_below(41));
+        for (std::size_t i = 0; i < held.size(); ++i) {
+          held[i] = pick.chance(0.6);
+          in_a_range.insert(first + i);
+        }
+        load(first, size(), held);
+        break;
+      }
+      case 1:
+        preload(oid, random_version());
+        break;
+      case 2:  // a new write: older, newer or tied with what is stored
+        write(oid, random_version());
+        break;
+      case 3: {  // a write-back of the stored version under a newer cfno
+        const auto stored = model.find(oid);
+        if (stored == model.end()) break;
+        Version writeback = stored->second;
+        writeback.cfno += pick.next_below(3);  // += 0: a discarded echo
+        writeback.size_bytes = size();  // must not move: only the tag does
+        loaded_writebacks += stored->second.ts == Timestamp{} &&
+                             written.count(oid) == 0;
+        write(oid, writeback);
+        break;
+      }
+      default:
+        replicate(oid, random_version());
+        break;
+    }
+    expect_matches_model();
+    // Read one oid of each kind present in the episode's range.
+    std::vector<ObjectId> kinds[3];
+    for (ObjectId o = base; o < base + kOids; ++o) {
+      kinds[model.count(o) ? 0 : in_a_range.count(o) ? 1 : 2].push_back(o);
+    }
+    for (int kind = 0; kind < 3; ++kind) {
+      if (kinds[kind].empty()) continue;
+      ++reads[kind];
+      expect_read(kinds[kind][pick.next_below(kinds[kind].size())]);
+    }
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(reads[0], 300u) << "held";
+  EXPECT_GT(reads[1], 200u) << "unheld inside a load's range";
+  EXPECT_GT(reads[2], 300u) << "never loaded";
+  EXPECT_GT(loaded_writebacks, 10u);
+}
+
+TEST_F(StoreModelFixture, LoadedVersionsEnterTheTableOnlyWhenAWriteWins) {
+  load(10, 4096, {true, false, true, true});
+  expect_matches_model();
+  EXPECT_EQ(node->written().size(), 0u);
+  // The echo of a loaded version (same timestamp, same cfno) is discarded.
+  write(10, loaded(10, 4096));
+  EXPECT_EQ(node->written().size(), 0u);
+  // Its write-back under a newer configuration refreshes the tag only.
+  Version writeback = loaded(12, 1);
+  writeback.cfno = 2;
+  write(12, writeback);
+  EXPECT_EQ(node->written().size(), 1u);
+  EXPECT_EQ(node->peek(12)->cfno, 2u);
+  EXPECT_EQ(node->peek(12)->size_bytes, 4096u);
+  // An unheld oid inside the range is absent until written.
+  expect_read(11);
+  EXPECT_FALSE(node->peek(11).has_value());
+  expect_matches_model();
+}
+
+TEST_F(StoreModelFixture, LaterLoadReplacesAWrittenVersion) {
+  load(0, 1024, {true, true});
+  Version v;
+  v.ts = {100, 1, 1};
+  v.value = 7;
+  v.size_bytes = 2048;
+  write(1, v);
+  preload(5, v);
+  EXPECT_EQ(node->written().size(), 2u);
+  // The later load holds oid 1 and 5 but not 2: their written versions go.
+  load(1, 3072, {true, false, false, false, true});
+  EXPECT_EQ(node->written().size(), 0u);
+  EXPECT_EQ(node->peek(1)->size_bytes, 3072u);
+  EXPECT_EQ(node->peek(0)->size_bytes, 1024u);  // still the first load's
+  expect_matches_model();
+}
+
+TEST_F(StoreModelFixture, OversizedLoadThrowsAndInstallsNothing) {
+  load(0, 1024, {true, true, true});
+  Version v;
+  v.ts = {100, 1, 1};
+  write(1, v);
+  EXPECT_THROW(node->load(0, PackedVersion::kSizeLimit, {true, true, true}),
+               std::length_error);
+  expect_matches_model();
+  expect_read(0);
+}
+
 // ------------------------------------------------------------ bulk load
 //
-// Cluster::preload places each object once and fills the stores node by
-// node; every node must end with exactly its placement share.
+// Cluster::preload places each object once and sets one bit per object on
+// each of its replicas; every node must end with exactly its placement
+// share.
 
 /// Each node's expected contents after loading `count` objects of
 /// `size_bytes` from `first_oid` over `expected`, as preload does.
@@ -472,11 +728,6 @@ void place(const Placement& placement, std::uint64_t count,
 
 void expect_contents(Cluster& cluster,
                      const std::vector<std::map<ObjectId, Version>>& expected) {
-  const auto as_fields = [](const std::map<ObjectId, Version>& contents) {
-    std::map<ObjectId, decltype(fields(Version{}))> out;
-    for (const auto& [oid, v] : contents) out.emplace(oid, fields(v));
-    return out;
-  };
   for (std::uint32_t node = 0; node < expected.size(); ++node) {
     EXPECT_EQ(cluster.storage(node).object_count(), expected[node].size())
         << "node " << node;
@@ -506,6 +757,19 @@ TEST(BulkLoadTest, EveryNodeHoldsItsPlacementShare) {
   }
 }
 
+TEST(BulkLoadTest, ThreeHundredNodesEachHoldTheirPlacementShare) {
+  // A node index is not stored per replica, so no node count limits the
+  // load.
+  ClusterConfig config;
+  config.num_storage = 300;
+  Cluster cluster(config);
+  std::vector<std::map<ObjectId, Version>> expected(config.num_storage);
+  cluster.preload(6000, 4096, 100);
+  place(cluster.placement(), 6000, 4096, 100, expected);
+  expect_contents(cluster, expected);
+  EXPECT_FALSE(expected[299].empty());
+}
+
 // ------------------------------------------------ storage write dedup window
 //
 // Storage acknowledges a write whose apply already ran without applying it
@@ -514,11 +778,6 @@ TEST(BulkLoadTest, EveryNodeHoldsItsPlacementShare) {
 
 struct DedupWindowFixture : StorageFixture {
   static constexpr std::uint64_t kWindow = 4096;
-
-  std::uint64_t counter(const char* field) const {
-    return telemetry.registry().counter_value(
-        obs::instrument_name("storage", 0, field));
-  }
 
   /// Delivers write `op_id` (always the same version of object 7) and runs
   /// until it is acknowledged.
