@@ -82,14 +82,34 @@ void BM_TreePredict(benchmark::State& state) {
 }
 BENCHMARK(BM_TreePredict);
 
+// One lookup of S nodes at replication degree N, into a warm vector as the
+// proxy, the bulk load and the anti-entropy sweep do. The shapes straddle
+// the two rank/insertion crossovers that kv::Placement::selects_by_rank
+// encodes: 20 | 24 nodes at N = 5, 13 | 14 at N = 1.
 void BM_PlacementReplicas(benchmark::State& state) {
-  kv::Placement placement(static_cast<std::uint32_t>(state.range(0)), 5, 7);
+  const kv::Placement placement(static_cast<std::uint32_t>(state.range(0)),
+                                static_cast<int>(state.range(1)), 7);
+  std::vector<std::uint32_t> out;
   std::uint64_t oid = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(placement.replicas(++oid));
+    placement.replicas_into(++oid, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_PlacementReplicas)->Arg(10)->Arg(100);
+BENCHMARK(BM_PlacementReplicas)
+    ->ArgNames({"S", "N"})
+    ->Args({5, 5})
+    ->Args({10, 5})
+    ->Args({14, 5})
+    ->Args({20, 5})
+    ->Args({24, 5})
+    ->Args({30, 5})
+    ->Args({100, 5})
+    ->Args({10, 1})
+    ->Args({13, 1})
+    ->Args({14, 1})
+    ->Args({10, 3});
 
 void BM_SimulatorEventChain(benchmark::State& state) {
   // Cost of schedule + dispatch for a chain of dependent events.

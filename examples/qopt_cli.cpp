@@ -40,7 +40,7 @@ void usage() {
       "qopt_cli — Q-OPT cluster simulator\n\n"
       "workload:   --workload ycsb-a|ycsb-b|backup-c|sweep   (default ycsb-a)\n"
       "            --write-ratio F   (sweep only, default 0.5)\n"
-      "            --objects N       (default 10000)\n"
+      "            --objects N       (default 10000, at least 1)\n"
       "            --object-bytes N  (default 4096, below 2^40)\n"
       "topology:   --storage N --proxies N --clients-per-proxy N\n"
       "            --replication N   (default 5)\n"
@@ -193,8 +193,12 @@ int main(int argc, char** argv) {
   config.client_retry_timeout =
       milliseconds(flags.get_int("client-retry", lossy ? 1000 : 0));
 
-  const auto objects =
-      static_cast<std::uint64_t>(flags.get_int("objects", 10'000));
+  const std::int64_t objects_flag = flags.get_int("objects", 10'000);
+  if (objects_flag < 1) {
+    std::fprintf(stderr, "--objects must be at least 1\n");
+    return 2;
+  }
+  const auto objects = static_cast<std::uint64_t>(objects_flag);
   const std::int64_t object_bytes_flag = flags.get_int("object-bytes", 4096);
   if (object_bytes_flag < 0 ||
       static_cast<std::uint64_t>(object_bytes_flag) >=

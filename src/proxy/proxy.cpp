@@ -29,6 +29,9 @@ Proxy::Proxy(sim::Simulator& sim, Net& net, sim::NodeId self,
       net_(net),
       self_(self),
       placement_(placement),
+      rotation_(static_cast<long>(
+          mix64(self.index) %
+          static_cast<std::uint64_t>(placement.replication_degree()))),
       options_(options),
       pool_(options.servers),
       rng_(mix64(0x70727879ULL ^ self.index)),
@@ -325,8 +328,7 @@ void Proxy::launch_op(std::uint64_t op_id, PendingOp& op) {
     // identifier (Section 2.1) so different proxies spread load over
     // different quorum subsets.
     std::rotate(op.replica_order.begin(),
-                op.replica_order.begin() +
-                    static_cast<long>(mix64(self_.index) % n),
+                op.replica_order.begin() + rotation_,
                 op.replica_order.end());
     const QuorumConfig q = strategy.footprint();
     op.needed = is_read ? q.read_q : q.write_q;

@@ -376,6 +376,9 @@ class Proxy {
   Net& net_;
   sim::NodeId self_;
   const kv::Placement& placement_;
+  /// Majority-path load balancing: this proxy's rotation of every replica
+  /// list, a hash of its index modulo the cluster's replication degree.
+  long rotation_;
   ProxyOptions options_;
   kv::ServicePool pool_;
   bool crashed_ = false;

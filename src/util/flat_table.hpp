@@ -8,14 +8,15 @@
 // Each slot holds its key and value inline, so a lookup touches one cache
 // line, and a table sized once with reserve() never allocates again.
 //
-// The key ~0 marks an empty slot and cannot be stored. Pointers returned by
+// The key ~0 marks an empty slot, so its entry lives in one inline side
+// slot instead; every key is storable. Pointers returned by
 // find()/try_emplace() stay valid until the next insert or erase. for_each
-// visits entries in slot order, which depends on the hash and on the
-// insertion history: callers that derive a schedule from it must sort.
+// visits entries in slot order, then the side slot. Slot order depends on
+// the hash and on the insertion history: callers that derive a schedule
+// from it must sort.
 #pragma once
 
 #include <bit>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -34,8 +35,10 @@ class FlatTable {
  public:
   static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
 
-  std::size_t size() const noexcept { return size_; }
-  bool empty() const noexcept { return size_ == 0; }
+  std::size_t size() const noexcept {
+    return has_empty_key_ ? size_ + 1 : size_;
+  }
+  bool empty() const noexcept { return size() == 0; }
   /// Slot count: a power of two, or 0 before the first insert or reserve.
   std::size_t capacity() const noexcept { return slots_.size(); }
 
@@ -51,6 +54,7 @@ class FlatTable {
     return const_cast<V*>(std::as_const(*this).find(key));
   }
   const V* find(std::uint64_t key) const noexcept {
+    if (key == kEmptyKey) return has_empty_key_ ? &empty_key_value_ : nullptr;
     if (size_ == 0) return nullptr;
     for (std::size_t i = home(key);; i = (i + 1) & mask_) {
       const Slot& slot = slots_[i];
@@ -65,7 +69,12 @@ class FlatTable {
   /// Inserts `value` under `key` unless the key is present. Returns the
   /// stored value and whether it was inserted.
   std::pair<V*, bool> try_emplace(std::uint64_t key, const V& value) {
-    assert(key != kEmptyKey);
+    if (key == kEmptyKey) {
+      if (has_empty_key_) return {&empty_key_value_, false};
+      has_empty_key_ = true;
+      empty_key_value_ = value;
+      return {&empty_key_value_, true};
+    }
     if (size_ >= max_load(slots_.size())) {
       if (V* present = find(key)) return {present, false};
       rehash(slots_.empty() ? kMinCapacity : slots_.size() * 2);
@@ -88,6 +97,12 @@ class FlatTable {
 
   /// Removes `key`; returns whether it was present.
   bool erase(std::uint64_t key) noexcept {
+    if (key == kEmptyKey) {
+      if (!has_empty_key_) return false;
+      has_empty_key_ = false;
+      empty_key_value_ = V{};
+      return true;
+    }
     if (size_ == 0) return false;
     std::size_t hole = home(key);
     for (; slots_[hole].key != key; hole = (hole + 1) & mask_) {
@@ -111,17 +126,20 @@ class FlatTable {
 
   /// Empties the table and keeps its slot array.
   void clear() noexcept {
+    has_empty_key_ = false;
+    empty_key_value_ = V{};
     if (size_ == 0) return;
     for (Slot& slot : slots_) slot = Slot{};
     size_ = 0;
   }
 
-  /// Calls fn(key, value) once per entry, in slot order.
+  /// Calls fn(key, value) once per entry, in slot order, then key ~0.
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const Slot& slot : slots_) {
       if (slot.key != kEmptyKey) fn(slot.key, slot.value);
     }
+    if (has_empty_key_) fn(kEmptyKey, empty_key_value_);
   }
 
  private:
@@ -156,7 +174,9 @@ class FlatTable {
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
   int shift_ = 64;
-  std::size_t size_ = 0;
+  std::size_t size_ = 0;  // entries in slots_; key ~0 is counted apart
+  bool has_empty_key_ = false;
+  V empty_key_value_{};
 };
 
 }  // namespace qopt

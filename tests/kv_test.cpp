@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -161,6 +162,127 @@ TEST(PlacementTest, FullReplicationUsesAllNodes) {
 TEST(PlacementTest, InvalidReplicationThrows) {
   EXPECT_THROW(Placement(3, 5, 0), std::invalid_argument);
   EXPECT_THROW(Placement(3, 0, 0), std::invalid_argument);
+}
+
+// Placement selects by rank counting on small clusters and by insertion on
+// large ones. Both must give the order of the reference below: every
+// (weight, node) pair sorted by weight descending, then node ascending.
+
+/// Nodes [0, weights.size()) in the reference order.
+std::vector<std::uint32_t> reference_order(
+    const std::vector<std::uint64_t>& weights) {
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> pairs;
+  for (std::uint32_t node = 0; node < weights.size(); ++node) {
+    pairs.emplace_back(weights[node], node);
+  }
+  std::sort(pairs.begin(), pairs.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  std::vector<std::uint32_t> order;
+  for (const auto& pair : pairs) order.push_back(pair.second);
+  return order;
+}
+
+/// Compares replicas_into with the reference at every N in [1, min(S, 7)],
+/// over `oids` random oids per seed, for each S in `node_counts`.
+void expect_reference_placement(
+    std::initializer_list<std::uint32_t> node_counts, int oids) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    for (const std::uint32_t s : node_counts) {
+      SCOPED_TRACE("S " + std::to_string(s) + ", seed " +
+                   std::to_string(seed));
+      std::vector<Placement> placements;
+      for (int n = 1; n <= std::min<int>(static_cast<int>(s), 7); ++n) {
+        placements.emplace_back(s, n, seed);
+      }
+      Rng pick(seed * 1000 + s);
+      std::vector<std::uint64_t> weights(s);
+      std::vector<std::uint32_t> got;
+      for (int i = 0; i < oids; ++i) {
+        const ObjectId oid = pick.next();
+        for (std::uint32_t node = 0; node < s; ++node) {
+          weights[node] = rendezvous_weight(oid, node, seed);
+        }
+        const std::vector<std::uint32_t> order = reference_order(weights);
+        for (const Placement& placement : placements) {
+          placement.replicas_into(oid, got);
+          const auto n = static_cast<std::size_t>(
+              placement.replication_degree());
+          ASSERT_TRUE(std::equal(got.begin(), got.end(), order.begin(),
+                                 order.begin() + static_cast<long>(n)))
+              << "oid " << oid << ", N " << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(PlacementTest, SmallClustersMatchTheReferenceOrder) {
+  expect_reference_placement({1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11,
+                              12, 13, 14, 15, 16, 17, 18, 19, 20, 24, 30},
+                             20'000);
+}
+
+TEST(PlacementTest, LargeClustersMatchTheReferenceOrder) {
+  expect_reference_placement({64, 100, 300}, 20'000);
+}
+
+TEST(PlacementTest, RankSelectionRunsWhereItMeasuredFaster) {
+  // The crossovers BM_PlacementReplicas measured: rank counting up to 20
+  // nodes at N >= 2 and up to 13 at N = 1; insertion above.
+  EXPECT_TRUE(Placement::selects_by_rank(1, 1));
+  EXPECT_TRUE(Placement::selects_by_rank(13, 1));
+  EXPECT_FALSE(Placement::selects_by_rank(14, 1));
+  EXPECT_TRUE(Placement::selects_by_rank(2, 2));
+  EXPECT_TRUE(Placement::selects_by_rank(20, 2));
+  EXPECT_TRUE(Placement::selects_by_rank(20, 5));
+  EXPECT_TRUE(Placement::selects_by_rank(20, 20));
+  EXPECT_FALSE(Placement::selects_by_rank(21, 2));
+  EXPECT_FALSE(Placement::selects_by_rank(21, 5));
+  EXPECT_FALSE(Placement::selects_by_rank(300, 5));
+}
+
+/// Both selections over `weights`, at every N, against the reference.
+void expect_both_selections_match(const std::vector<std::uint64_t>& weights) {
+  const auto s = static_cast<std::uint32_t>(weights.size());
+  const std::vector<std::uint32_t> order = reference_order(weights);
+  for (std::uint32_t n = 1; n <= s; ++n) {
+    const std::vector<std::uint32_t> expected(order.begin(),
+                                              order.begin() + n);
+    std::vector<std::uint32_t> by_rank(n);
+    select_by_rank(weights, by_rank);
+    EXPECT_EQ(by_rank, expected) << "rank, N " << n;
+    std::vector<std::uint32_t> by_insertion(n);
+    std::vector<WeightedNode> top(n);
+    select_by_insertion(
+        s, [&weights](std::uint32_t node) { return weights[node]; }, top,
+        by_insertion);
+    EXPECT_EQ(by_insertion, expected) << "insertion, N " << n;
+  }
+}
+
+TEST(PlacementTest, EqualWeightsRankByNodeAscendingOnBothPaths) {
+  // mix64 weights never tie in practice, so the tie rule is pinned here
+  // with crafted weights, including both ends of the unsigned range.
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  expect_both_selections_match({5, 9, 5, 9, 1, 9, 0, 5});
+  expect_both_selections_match({0, kMax, 0, kMax, kMax - 1, 1});
+  expect_both_selections_match({7});
+  expect_both_selections_match(std::vector<std::uint64_t>(kRankMaxNodes, 3));
+  expect_both_selections_match(std::vector<std::uint64_t>(kRankMaxNodes, 0));
+  expect_both_selections_match(
+      std::vector<std::uint64_t>(kRankMaxNodes, kMax));
+  // Weights drawn from four values: ties at every S the rank path takes.
+  Rng pick(23);
+  for (std::uint32_t s = 1; s <= kRankMaxNodes; ++s) {
+    for (int trial = 0; trial < 50; ++trial) {
+      std::vector<std::uint64_t> weights(s);
+      for (std::uint64_t& w : weights) w = kMax - pick.next_below(4);
+      SCOPED_TRACE("S " + std::to_string(s));
+      expect_both_selections_match(weights);
+      if (HasFailure()) return;
+    }
+  }
 }
 
 // ---------------------------------------------------------- service model
@@ -703,6 +825,64 @@ TEST_F(StoreModelFixture, OversizedLoadThrowsAndInstallsNothing) {
                std::length_error);
   expect_matches_model();
   expect_read(0);
+}
+
+// Oid 2^64-1 is the written table's empty-slot key, kept apart in a side
+// slot: it must behave as any other oid next to ordinary written versions.
+
+constexpr ObjectId kLargestOid = ~ObjectId{0};
+
+Version written_version(std::uint64_t value) {
+  Version v;
+  v.ts = {100, 1, value};
+  v.value = value;
+  v.size_bytes = 2048;
+  return v;
+}
+
+TEST_F(StoreModelFixture, LargestOidIsAbsentNextToWrittenVersions) {
+  write(7, written_version(7));
+  write(9, written_version(9));
+  expect_read(kLargestOid);
+  EXPECT_FALSE(node->peek(kLargestOid).has_value());
+  EXPECT_EQ(node->written().size(), 2u);
+  expect_read(7);
+}
+
+TEST_F(StoreModelFixture, WriteToTheLargestOidReadsBack) {
+  write(7, written_version(7));
+  write(kLargestOid, written_version(3));
+  expect_read(kLargestOid);
+  expect_read(7);
+  EXPECT_EQ(node->written().size(), 2u);
+  EXPECT_EQ(node->object_count(), 2u);
+  EXPECT_EQ(as_fields(node->sorted_contents()), as_fields(model));
+}
+
+TEST_F(StoreModelFixture, LoadEndingAtTheLargestOidKeepsOtherWrittenVersions) {
+  write(5, written_version(5));
+  write(9, written_version(9));
+  write(kLargestOid - 1, written_version(1));
+  // Holds every oid of its range but the written kLargestOid - 1.
+  load(kLargestOid - 3, 4096, {true, true, false, true});
+  EXPECT_EQ(node->written().size(), written.size());
+  EXPECT_EQ(node->written().size(), 3u);
+  EXPECT_EQ(node->object_count(), model.size());
+  EXPECT_EQ(as_fields(node->sorted_contents()), as_fields(model));
+  for (const ObjectId oid : {ObjectId{5}, ObjectId{9}, kLargestOid - 4,
+                             kLargestOid - 3, kLargestOid - 2,
+                             kLargestOid - 1, kLargestOid}) {
+    expect_read(oid);
+  }
+  // A write to the loaded last oid wins over the load, and a later load
+  // holding it replaces the write.
+  write(kLargestOid, written_version(4));
+  EXPECT_EQ(node->written().size(), 4u);
+  expect_read(kLargestOid);
+  load(kLargestOid, 512, {true});
+  EXPECT_EQ(node->written().size(), 3u);
+  expect_read(kLargestOid);
+  EXPECT_EQ(as_fields(node->sorted_contents()), as_fields(model));
 }
 
 // ------------------------------------------------------------ bulk load

@@ -393,6 +393,62 @@ TEST(FlatTableTest, BackwardShiftEraseUnderForcedCollisions) {
   EXPECT_EQ(table.capacity(), std::size_t{1} << kBits);  // never grew
 }
 
+// Key ~0 is the empty-slot marker, so the table keeps it in a side slot:
+// every operation must treat it as one more ordinary key.
+TEST(FlatTableTest, LargestKeyIsAnOrdinaryKey) {
+  constexpr std::uint64_t kLargest = ~std::uint64_t{0};
+  FlatTable<std::uint64_t> table;
+  EXPECT_EQ(table.find(kLargest), nullptr);
+  EXPECT_FALSE(table.contains(kLargest));
+  EXPECT_FALSE(table.erase(kLargest));
+
+  // Absent next to ordinary keys: find misses and erase removes nothing.
+  table.try_emplace(1, 10);
+  table.try_emplace(0, 0);
+  EXPECT_EQ(table.find(kLargest), nullptr);
+  EXPECT_FALSE(table.erase(kLargest));
+  EXPECT_EQ(table.size(), 2u);
+  EXPECT_EQ(*table.find(1), 10u);
+
+  auto [value, inserted] = table.try_emplace(kLargest, 70);
+  ASSERT_TRUE(inserted);
+  EXPECT_EQ(*value, 70u);
+  auto [present, inserted_again] = table.try_emplace(kLargest, 71);
+  EXPECT_FALSE(inserted_again);
+  EXPECT_EQ(present, value);
+  EXPECT_EQ(*present, 70u);
+  table.insert_or_assign(kLargest, 72);
+  EXPECT_EQ(*table.find(kLargest), 72u);
+  EXPECT_TRUE(table.contains(kLargest));
+  EXPECT_EQ(table.size(), 3u);
+
+  std::map<std::uint64_t, std::uint64_t> visits;
+  table.for_each([&](std::uint64_t key, std::uint64_t v) { visits[key] = v; });
+  EXPECT_EQ(visits, (std::map<std::uint64_t, std::uint64_t>{
+                        {0, 0}, {1, 10}, {kLargest, 72}}));
+
+  // Growth rehashes the slots and leaves the side slot alone.
+  for (std::uint64_t key = 2; key < 200; ++key) table.try_emplace(key, key);
+  EXPECT_EQ(table.size(), 201u);
+  EXPECT_EQ(*table.find(kLargest), 72u);
+
+  EXPECT_TRUE(table.erase(kLargest));
+  EXPECT_FALSE(table.erase(kLargest));
+  EXPECT_EQ(table.find(kLargest), nullptr);
+  EXPECT_EQ(table.size(), 200u);
+  EXPECT_EQ(*table.find(1), 10u);
+  EXPECT_EQ(*table.find(199), 199u);
+
+  table.insert_or_assign(kLargest, 5);
+  table.clear();
+  EXPECT_TRUE(table.empty());
+  EXPECT_EQ(table.find(kLargest), nullptr);
+  table.try_emplace(kLargest, 6);
+  EXPECT_FALSE(table.empty());
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(*table.find(kLargest), 6u);
+}
+
 TEST(FlatTableTest, ForEachVisitsEachLiveEntryOnce) {
   FlatTable<std::uint64_t> table;
   for (std::uint64_t key = 1; key <= 1000; ++key) table.try_emplace(key, key);
