@@ -4,6 +4,12 @@
 // per round), replica placement, key sampling, and the simulation kernel.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <vector>
+
 #include "kv/placement.hpp"
 #include "ml/dataset.hpp"
 #include "ml/decision_tree.hpp"
@@ -12,6 +18,7 @@
 #include "sim/simulator.hpp"
 #include "topk/space_saving.hpp"
 #include "util/rng.hpp"
+#include "util/time.hpp"
 #include "workload/workload.hpp"
 
 namespace {
@@ -112,20 +119,73 @@ BENCHMARK(BM_PlacementReplicas)
     ->Args({10, 3});
 
 void BM_SimulatorEventChain(benchmark::State& state) {
-  // Cost of schedule + dispatch for a chain of dependent events.
+  // Cost of schedule + dispatch for a chain of dependent events. One
+  // simulator serves every iteration, as one serves a whole run.
+  sim::Simulator sim;
   for (auto _ : state) {
-    sim::Simulator sim;
     int remaining = 1000;
     std::function<void()> step = [&] {
       if (--remaining > 0) sim.after(10, step);
     };
     sim.after(10, step);
     sim.run();
-    benchmark::DoNotOptimize(sim.events_processed());
   }
+  benchmark::DoNotOptimize(sim.events_processed());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 1000);
 }
 BENCHMARK(BM_SimulatorEventChain);
+
+/// Event delays whose quantiles follow those recorded on the benchmark's
+/// `ycsb_b` workload (p10 ~0.3 ms, p50 ~0.6 ms, p90 ~4.5 ms, max 150 ms,
+/// rare 1 s timers), from a fixed seed.
+std::vector<Duration> hold_delays() {
+  Rng rng(42);
+  std::vector<Duration> delays(std::size_t{1} << 12);
+  for (Duration& d : delays) {
+    const double u = rng.next_double();
+    if (u < 0.08) {
+      d = microseconds(60);  // the proxy's CPU step
+    } else if (u < 0.75) {
+      d = rng.uniform_int(microseconds(300), microseconds(800) - 1);
+    } else if (u < 0.753) {
+      d = kSecond;
+    } else {
+      d = std::min<Duration>(
+          static_cast<Duration>(rng.exponential(5.0 * kMillisecond)),
+          150 * kMillisecond);
+    }
+  }
+  return delays;
+}
+
+/// One pending event of the hold model: when it runs it schedules its
+/// successor after the next delay of the table.
+struct HoldEvent {
+  sim::Simulator* sim;
+  const std::vector<Duration>* delays;
+  std::size_t* next;
+  void operator()() const {
+    const Duration d = (*delays)[(*next)++ & (delays->size() - 1)];
+    sim->after(d, *this);
+  }
+};
+
+void BM_SimulatorHold(benchmark::State& state) {
+  // The classic hold model: `depth` events stay pending, and each iteration
+  // pops the least and schedules one successor, so it times one schedule
+  // plus one pop of the event queue at that depth.
+  const std::vector<Duration> delays = hold_delays();
+  std::size_t next = 0;
+  sim::Simulator sim;
+  const HoldEvent event{&sim, &delays, &next};
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    sim.after(delays[next++], event);
+  }
+  for (auto _ : state) sim.step();
+  benchmark::DoNotOptimize(sim.now());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SimulatorHold)->ArgName("depth")->Arg(90)->Arg(1000);
 
 void BM_NetworkSendDeliver(benchmark::State& state) {
   sim::Simulator sim;

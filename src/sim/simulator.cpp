@@ -2,19 +2,35 @@
 #include "util/time.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 namespace qopt::sim {
 
 namespace {
 
-/// Heap order: std::push_heap/pop_heap build a max-heap, so "less" is
+/// The (time, seq) order on keys and slots: true when `a` runs first.
+template <typename A, typename B>
+bool precedes(const A& a, const B& b) noexcept {
+  return a.time < b.time || (a.time == b.time && a.seq < b.seq);
+}
+
+/// A word with only bit `i` set.
+constexpr std::uint64_t bit(std::size_t i) noexcept {
+  return std::uint64_t{1} << i;
+}
+
+/// The index of the lowest set bit of a non-zero word.
+std::size_t lowest(std::uint64_t word) noexcept {
+  return static_cast<std::size_t>(std::countr_zero(word));
+}
+
+/// Far-heap order: std::push_heap/pop_heap build a max-heap, so "less" is
 /// "later" and the (time, seq)-least key sits at the front.
 struct Later {
   template <typename K>
   bool operator()(const K& a, const K& b) const noexcept {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
+    return precedes(b, a);
   }
 };
 
@@ -23,7 +39,7 @@ struct Later {
 std::uint32_t Simulator::acquire_slot() {
   const std::uint32_t slot = free_head_;
   if (slot != kNoSlot) {
-    free_head_ = slab_[slot].next_free;
+    free_head_ = slab_[slot].next;
     return slot;
   }
   // Geometric growth, reserved explicitly: the slab only grows while the
@@ -36,22 +52,125 @@ std::uint32_t Simulator::acquire_slot() {
 }
 
 void Simulator::enqueue(Time t, std::uint32_t slot) {
+  Slot& s = slab_[slot];
+  s.time = t;
+  s.seq = next_seq_++;
 #if QOPT_PROFILE_ENABLED
-  slab_[slot].enqueued_at = now_;
+  s.enqueued_at = now_;
   if (profiler_ && profiler_->enabled()) profiler_->note_schedule();
 #endif
-  if (heap_.size() == heap_.capacity()) {
-    heap_.reserve(std::max<std::size_t>(64, 2 * heap_.size()));
-  }
-  heap_.push_back(Key{t, next_seq_++, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  link(slot);
 }
 
-Simulator::Key Simulator::pop_least() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Key key = heap_.back();
-  heap_.pop_back();
-  return key;
+void Simulator::link(std::uint32_t slot) {
+  Slot& s = slab_[slot];
+  const Time bucket = s.time >> kBucketBits;
+  // One unsigned test sends both the keys past the horizon and those behind
+  // the cursor (a negative distance) off the ring.
+  if (static_cast<std::uint64_t>(bucket - cursor_) >= kRingBuckets) {
+    park(slot);
+    return;
+  }
+  const std::size_t i = static_cast<std::size_t>(bucket) & (kRingBuckets - 1);
+  std::uint32_t* next = &ring_[i];
+  while (*next != kNoSlot && precedes(slab_[*next], s)) {
+    next = &slab_[*next].next;
+  }
+  s.next = *next;
+  *next = slot;
+  occupied_[i / 64] |= bit(i % 64);
+  summary_[i / 64 / 64] |= bit(i / 64 % 64);
+  ++in_ring_;
+}
+
+void Simulator::park(std::uint32_t slot) {
+  const Slot& s = slab_[slot];
+  const Key key{s.time, s.seq, slot};
+  if ((key.time >> kBucketBits) >= cursor_) {
+    if (far_.size() == far_.capacity()) {
+      far_.reserve(std::max<std::size_t>(64, 2 * far_.size()));
+    }
+    far_.push_back(key);
+    std::push_heap(far_.begin(), far_.end(), Later{});
+    return;
+  }
+  // Sorted with the least key last; the list stays as short as the
+  // chooser's window keeps it.
+  if (behind_.size() == behind_.capacity()) {
+    behind_.reserve(std::max<std::size_t>(16, 2 * behind_.size()));
+  }
+  behind_.insert(std::lower_bound(behind_.begin(), behind_.end(), key,
+                                  Later{}),
+                 key);
+}
+
+std::size_t Simulator::next_bucket() const noexcept {
+  // Ring order from the cursor is time order. The scan wraps at most once,
+  // to the buckets the horizon has reached behind the cursor's index.
+  const std::size_t start =
+      static_cast<std::size_t>(cursor_) & (kRingBuckets - 1);
+  std::size_t word = start / 64;
+  std::uint64_t bits = occupied_[word] & (~std::uint64_t{0} << (start % 64));
+  if (bits == 0) {
+    const std::size_t from = (word + 1) % kRingWords;
+    std::size_t group = from / 64;
+    std::uint64_t words = summary_[group] & (~std::uint64_t{0} << (from % 64));
+    while (words == 0) {
+      group = (group + 1) % (kRingWords / 64);
+      words = summary_[group];
+    }
+    word = group * 64 + lowest(words);
+    bits = occupied_[word];
+  }
+  return word * 64 + lowest(bits);
+}
+
+Time Simulator::next_time() const noexcept {
+  if (!behind_.empty()) return behind_.back().time;
+  if (in_ring_ != 0) return slab_[ring_[next_bucket()]].time;
+  if (!far_.empty()) return far_.front().time;
+  return kForever;
+}
+
+void Simulator::advance(Time bucket) {
+  cursor_ = bucket;
+  // Far keys enter the ring as the horizon reaches them.
+  while (!far_.empty() &&
+         (far_.front().time >> kBucketBits) - cursor_ <
+             static_cast<Time>(kRingBuckets)) {
+    const std::uint32_t slot = far_.front().slot;
+    std::pop_heap(far_.begin(), far_.end(), Later{});
+    far_.pop_back();
+    link(slot);
+  }
+}
+
+std::uint32_t Simulator::pop_least(Time until) {
+  // Keys behind the cursor precede every ring key, and ring keys precede
+  // every far key.
+  if (!behind_.empty()) {
+    if (behind_.back().time > until) return kNoSlot;
+    const std::uint32_t slot = behind_.back().slot;
+    behind_.pop_back();
+    return slot;
+  }
+  if (in_ring_ == 0) {
+    // Only far keys wait: jump the cursor to the earliest.
+    if (far_.empty() || far_.front().time > until) return kNoSlot;
+    advance(far_.front().time >> kBucketBits);
+  }
+  const std::size_t i = next_bucket();
+  const std::uint32_t slot = ring_[i];
+  const Slot& s = slab_[slot];
+  if (s.time > until) return kNoSlot;
+  ring_[i] = s.next;
+  if (s.next == kNoSlot) {
+    occupied_[i / 64] &= ~bit(i % 64);
+    if (occupied_[i / 64] == 0) summary_[i / 64 / 64] &= ~bit(i / 64 % 64);
+  }
+  --in_ring_;
+  advance(s.time >> kBucketBits);
+  return slot;
 }
 
 void Simulator::set_schedule_chooser(ScheduleChooser chooser,
@@ -67,12 +186,12 @@ void Simulator::clear_schedule_chooser() {
   staged_.clear();
 }
 
-Simulator::Key Simulator::choose(Key first) {
+std::uint32_t Simulator::choose(std::uint32_t first) {
   staged_.clear();
   staged_.reserve(chooser_window_);
   staged_.push_back(first);
-  while (staged_.size() < chooser_window_ && !heap_.empty()) {
-    staged_.push_back(pop_least());
+  while (staged_.size() < chooser_window_ && !empty()) {
+    staged_.push_back(pop_least(kForever));
   }
   std::size_t pick = chooser_(staged_.size());
   if (pick >= staged_.size()) pick = 0;
@@ -80,8 +199,7 @@ Simulator::Key Simulator::choose(Key first) {
     // Unchosen keys keep their original (time, seq), so removing the
     // chooser restores the canonical order for everything still queued.
     if (i == pick) continue;
-    heap_.push_back(staged_[i]);
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    link(staged_[i]);
 #if QOPT_PROFILE_ENABLED
     if (profiler_ && profiler_->enabled()) profiler_->note_requeue();
 #endif
@@ -89,23 +207,23 @@ Simulator::Key Simulator::choose(Key first) {
   return staged_[pick];
 }
 
-bool Simulator::step() {
-  if (heap_.empty()) return false;
-  Key key = pop_least();
-  if (chooser_ && !heap_.empty()) key = choose(key);
+bool Simulator::run_next(Time until) {
+  std::uint32_t index = pop_least(until);
+  if (index == kNoSlot) return false;
+  if (chooser_ && !empty()) index = choose(index);
+  Slot& slot = slab_[index];
   // Monotone clock: an event displaced behind a later one runs at the later
   // event's time (delivery was delayed; the clock never rewinds).
-  if (key.time > now_) now_ = key.time;
+  if (slot.time > now_) now_ = slot.time;
   ++processed_;
-  Slot& slot = slab_[key.slot];
 #if QOPT_PROFILE_ENABLED
   const bool profiled = profiler_ && profiler_->enabled();
-  if (profiled) profiler_->begin_event(now_, slot.enqueued_at, heap_.size());
+  if (profiled) profiler_->begin_event(now_, slot.enqueued_at, pending());
 #endif
   // The slot is free once its callable moves out, so the event may reuse it,
   // or grow the slab, while it runs; `slot` is not touched afterwards.
-  slot.next_free = free_head_;
-  free_head_ = key.slot;
+  slot.next = free_head_;
+  free_head_ = index;
   slot.task.consume();
 #if QOPT_PROFILE_ENABLED
   if (profiled) profiler_->end_event();
@@ -113,17 +231,14 @@ bool Simulator::step() {
   return true;
 }
 
+bool Simulator::step() { return run_next(kForever); }
+
 std::uint64_t Simulator::run(Time until) {
   stopped_ = false;
   std::uint64_t n = 0;
-  while (!stopped_ && !heap_.empty() && heap_.front().time <= until) {
-    step();
-    ++n;
-  }
-  if (heap_.empty() || heap_.front().time > until) {
-    // Advance the clock to the horizon so repeated bounded runs compose.
-    if (until != kForever && until > now_) now_ = until;
-  }
+  while (!stopped_ && run_next(until)) ++n;
+  // Advance the clock to the horizon so repeated bounded runs compose.
+  if (until != kForever && until > now_ && next_time() > until) now_ = until;
   return n;
 }
 

@@ -1,12 +1,20 @@
 // Deterministic discrete-event simulation kernel.
 //
-// A single virtual clock and a binary min-heap of 24-byte (time, seq, slot)
-// keys over a free-listed slab of event slots, each holding one move-only
-// callable stored inline. Events scheduled for the same instant run in
-// scheduling order (a monotone sequence number breaks ties), which makes
-// every run bit-for-bit reproducible from its seed. Scheduling and running
-// an event neither allocates nor hashes once the slab has reached the
-// simulation's peak number of pending events.
+// A single virtual clock and a calendar queue (R. Brown, "Calendar Queues",
+// CACM 31(10), 1988) over a free-listed slab of event slots, each holding
+// one move-only callable stored inline. The queue is a ring of 2^15 buckets
+// of 2^13 ns (8.2 us each, a 268 ms horizon ahead of its cursor); each
+// bucket is a list of slots sorted by (time, seq), threaded through the
+// slots themselves, and a two-level bitmap of the non-empty buckets finds
+// the next one in a few word reads. Keys past the horizon wait in a small
+// binary heap and enter the ring as the cursor reaches them; keys behind
+// the cursor, which only the test-only schedule chooser makes, wait in a
+// small sorted side list.
+// Events scheduled for the same instant run in scheduling order (a
+// monotone sequence number breaks ties), which makes every run bit-for-bit
+// reproducible from its seed. The ring is allocated at construction;
+// scheduling and running an event neither allocates nor hashes once the
+// slab and the far heap have reached the simulation's peak.
 #pragma once
 
 #include <concepts>
@@ -100,13 +108,20 @@ class EventTask {
       [](void* buf) noexcept { std::destroy_at(stored<Fn>(buf)); },
   };
 
-  alignas(std::max_align_t) std::byte buf_[kEventCapacity];
   const Ops* ops_ = nullptr;
+  alignas(std::max_align_t) std::byte buf_[kEventCapacity];
 };
 
 class Simulator {
  public:
   static constexpr Time kForever = std::numeric_limits<Time>::max();
+
+  /// The calendar ring's shape: 2^kRingBits buckets of kBucketWidth ns, so
+  /// the ring holds every key less than kRingSpan ahead of its cursor.
+  static constexpr int kBucketBits = 13;
+  static constexpr int kRingBits = 15;
+  static constexpr Duration kBucketWidth = Duration{1} << kBucketBits;
+  static constexpr Duration kRingSpan = kBucketWidth << kRingBits;
 
   Time now() const noexcept { return now_; }
 
@@ -138,9 +153,16 @@ class Simulator {
   /// Makes the innermost run() return after the current event.
   void stop() noexcept { stopped_ = true; }
 
-  bool empty() const noexcept { return heap_.empty(); }
-  std::size_t pending() const noexcept { return heap_.size(); }
+  bool empty() const noexcept { return pending() == 0; }
+  std::size_t pending() const noexcept {
+    return in_ring_ + far_.size() + behind_.size();
+  }
   std::uint64_t events_processed() const noexcept { return processed_; }
+
+  /// Keys waiting behind the ring's cursor (diagnostics). Only a schedule
+  /// chooser puts any there: its requeues, and what the event it picks
+  /// schedules before the clock catches up with the cursor.
+  std::size_t behind_cursor() const noexcept { return behind_.size(); }
 
   /// Attaches the engine self-profiler (owned by the obs bundle; Cluster
   /// wires it). Null detaches. Every hook call compiles away under
@@ -174,7 +196,8 @@ class Simulator {
   void clear_schedule_chooser();
 
  private:
-  /// Heap entry: the event's place in the (time, seq) order and its slot.
+  /// Far-heap and side-list entry: the event's place in the (time, seq)
+  /// order and its slot.
   struct Key {
     Time time;
     std::uint64_t seq;
@@ -182,29 +205,63 @@ class Simulator {
   };
   static_assert(sizeof(Key) == 24);
 
-  /// Slab entry. `next_free` threads the free list through released slots.
+  /// Slab entry: the event, its key, and one link. `next` threads the free
+  /// list while the slot is free and its bucket's list while the key waits
+  /// in the ring.
   struct Slot {
-    EventTask task;
+    Time time = 0;
+    std::uint64_t seq = 0;
+    std::uint32_t next = kNoSlot;
 #if QOPT_PROFILE_ENABLED
     Time enqueued_at = 0;  // virtual instant at() staged it (dwell telemetry)
 #endif
-    std::uint32_t next_free = kNoSlot;
+    EventTask task;
   };
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  static constexpr std::size_t kRingBuckets = std::size_t{1} << kRingBits;
+  static constexpr std::size_t kRingWords = kRingBuckets / 64;
 
   /// Takes a free slab slot, growing the slab when none is free.
   std::uint32_t acquire_slot();
-  /// Pushes the key for the (filled) `slot` at instant `t`.
+  /// Keys the (filled) `slot` at instant `t` and queues it.
   void enqueue(Time t, std::uint32_t slot);
-  /// Pops the (time, seq)-least key.
-  Key pop_least();
+  /// Queues the keyed `slot`: in its ring bucket, or past the horizon in the
+  /// far heap, or behind the cursor in the side list.
+  void link(std::uint32_t slot);
+  /// link()'s path for a key outside the ring's span.
+  void park(std::uint32_t slot);
+  /// The first non-empty ring bucket at or after the cursor; the ring must
+  /// hold a key.
+  std::size_t next_bucket() const noexcept;
+  /// The least key's time, kForever when none is queued.
+  Time next_time() const noexcept;
+  /// Pops the (time, seq)-least key if its time is at most `until`; returns
+  /// its slot, or kNoSlot.
+  std::uint32_t pop_least(Time until);
+  /// Moves the cursor to ring bucket number `bucket` (time >> kBucketBits)
+  /// and pulls the far keys its horizon now reaches into the ring.
+  void advance(Time bucket);
+  /// Runs the least event due by `until`; false when none is.
+  bool run_next(Time until);
   /// Stages the window behind `first`, runs the chooser, and requeues the
   /// keys it did not pick.
-  Key choose(Key first);
+  std::uint32_t choose(std::uint32_t first);
 
-  std::vector<Key> heap_;   // binary min-heap on (time, seq)
   std::vector<Slot> slab_;  // grows only at a new pending-event high mark
   std::uint32_t free_head_ = kNoSlot;
+  // The ring: the first slot of each bucket's list, one bit per non-empty
+  // bucket, and one bit per non-zero word of those.
+  std::vector<std::uint32_t> ring_ =
+      std::vector<std::uint32_t>(kRingBuckets, kNoSlot);
+  std::vector<std::uint64_t> occupied_ =
+      std::vector<std::uint64_t>(kRingWords);
+  std::uint64_t summary_[kRingWords / 64] = {};
+  std::size_t in_ring_ = 0;
+  // The ring's first bucket number (time >> kBucketBits): that of the last
+  // popped ring key, or of the far key a jump over an idle gap pulled in.
+  Time cursor_ = 0;
+  std::vector<Key> far_;     // past the horizon: binary min-heap on (time, seq)
+  std::vector<Key> behind_;  // behind the cursor: sorted, least key last
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
@@ -212,7 +269,7 @@ class Simulator {
   // qopt-perf: allow(heap-alloc-hot) null on production runs; step() sees a bool test
   ScheduleChooser chooser_;
   std::size_t chooser_window_ = 0;
-  std::vector<Key> staged_;  // scratch reused across chooser steps
+  std::vector<std::uint32_t> staged_;  // scratch reused across chooser steps
 #if QOPT_PROFILE_ENABLED
   obs::EngineProfiler* profiler_ = nullptr;
 #endif

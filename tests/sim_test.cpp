@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -214,6 +218,270 @@ TEST(EventStoreTest, InlineCapacityIsTheLimit) {
   Simulator sim;
   sim.at(5, Padded<kEventCapacity>{});
   EXPECT_EQ(sim.run(), 1u);
+}
+
+// ------------------------------------------------------ queue order property
+//
+// The calendar queue against a sorted reference, driven through the public
+// API: each step must run the (time, scheduling order)-least event, or with
+// a chooser the picked one of the window of least events, and leave as many
+// events pending as the reference holds. The delays straddle the ring's
+// edges: zero, one bucket +-1 ns, the ring span +-1 ns, multiples of the
+// span, up to ~10^15 ns; phases add many equal instants, at() in the past,
+// at() between bounded runs and idle gaps where only far keys wait.
+
+class QueueOrderDriver {
+ public:
+  QueueOrderDriver(std::uint64_t seed, bool with_chooser)
+      : seed_(seed), rng_(seed), picks_(seed + 1000), with_chooser_(with_chooser) {}
+
+  /// Runs phases until at least `events` events ran or a mismatch stopped
+  /// the run; returns the number run.
+  std::uint64_t drive(std::uint64_t events) {
+    while (runs_ < events && !broken_) phase();
+    return runs_;
+  }
+
+ private:
+  static constexpr Duration kBucket = Simulator::kBucketWidth;
+  static constexpr Duration kSpan = Simulator::kRingSpan;
+  static constexpr Duration kHuge = 1'000'000'000'000'000;  // ~10^15 ns
+
+  /// How a phase draws delays.
+  enum class Regime { kMix, kEdges, kSameInstant, kFar };
+
+  void phase() {
+    regime_ = static_cast<Regime>(rng_.next_below(4));
+    target_ = static_cast<std::size_t>(
+        rng_.chance(0.2) ? rng_.next_below(4) : rng_.uniform_int(8, 1500));
+    instant_ = ref_now_ + static_cast<Duration>(rng_.next_below(3)) * kBucket;
+    if (with_chooser_) {
+      if (rng_.chance(0.6)) {
+        window_ = static_cast<std::size_t>(rng_.uniform_int(2, 4));
+        sim_.set_schedule_chooser(
+            [this](std::size_t staged) {
+              staged_ = staged;
+              picked_ = static_cast<std::size_t>(picks_.next_below(staged));
+              return picked_;
+            },
+            window_);
+      } else {
+        window_ = 0;
+        sim_.clear_schedule_chooser();
+      }
+    }
+    const std::uint64_t end = runs_ + rng_.next_below(6000) + 500;
+    while (runs_ < end && !broken_) {
+      const std::uint64_t action = rng_.next_below(10);
+      if (action == 0 || ref_.empty()) {
+        schedule_batch();
+      } else if (action <= 2) {
+        run_until(ref_now_ + (rng_.chance(0.5) ? draw_delay()
+                                                : rng_.uniform_int(0, kBucket)));
+      } else {
+        for (std::uint64_t n = rng_.next_below(50) + 1; n > 0 && !broken_; --n) {
+          step();
+        }
+      }
+    }
+    if (rng_.chance(0.3) && !broken_) drain();
+  }
+
+  /// at() between runs: a burst at one instant, past instants or delays.
+  void schedule_batch() {
+    const std::uint64_t n = rng_.next_below(20) + 1;
+    const std::uint64_t style = rng_.next_below(3);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if (style == 0) {
+        schedule_at(instant_);
+      } else if (style == 1) {
+        schedule_at(ref_now_ - rng_.uniform_int(0, 2 * kSpan));
+      } else {
+        schedule_at(ref_now_ + draw_delay());
+      }
+    }
+  }
+
+  void step() {
+    const std::uint64_t before = runs_;
+    const bool ran = sim_.step();
+    if (broken_) return;
+    EXPECT_EQ(ran, runs_ == before + 1);
+    check_pending("after step()");
+  }
+
+  void run_until(Time until) {
+    const std::uint64_t before = runs_;
+    const std::uint64_t ran = sim_.run(until);
+    if (broken_) return;
+    EXPECT_EQ(ran, runs_ - before);
+    if (!ref_.empty() && ref_.begin()->first <= until) {
+      fail("run(" + std::to_string(until) + ") left an event due at " +
+           std::to_string(ref_.begin()->first));
+      return;
+    }
+    if (until > ref_now_) ref_now_ = until;
+    EXPECT_EQ(sim_.now(), ref_now_) << "after run(" << until << ")";
+    check_pending("after run(until)");
+  }
+
+  /// Runs everything out with no successors.
+  void drain() {
+    target_ = 0;
+    regime_ = Regime::kMix;
+    while (!ref_.empty() && !broken_) {
+      sim_.run();
+      if (broken_) return;
+      check_pending("after run()");
+    }
+    EXPECT_TRUE(sim_.empty());
+  }
+
+  Duration draw_delay() {
+    switch (regime_) {
+      case Regime::kMix: {
+        const double u = rng_.next_double();
+        if (u < 0.08) return microseconds(60);
+        if (u < 0.75) return rng_.uniform_int(microseconds(300), microseconds(800) - 1);
+        if (u < 0.753) return kSecond;
+        return std::min<Duration>(
+            static_cast<Duration>(rng_.exponential(5.0 * kMillisecond)),
+            150 * kMillisecond);
+      }
+      case Regime::kEdges: {
+        static constexpr std::array<Duration, 13> kEdges = {
+            0,         1,         kBucket - 1, kBucket,      kBucket + 1,
+            kSpan - 1, kSpan,     kSpan + 1,   2 * kSpan - 1, 2 * kSpan,
+            2 * kSpan + 1, 5 * kSpan, 64 * kSpan};
+        const std::uint64_t r = rng_.next_below(kEdges.size() + 3);
+        if (r < kEdges.size()) return kEdges[r];
+        if (r == kEdges.size()) {
+          // To one ns either side of a bucket boundary ahead of the clock.
+          const Time boundary =
+              ((ref_now_ >> Simulator::kBucketBits) +
+               rng_.uniform_int(1, Duration{1} << Simulator::kRingBits)) *
+              kBucket;
+          return boundary - ref_now_ + rng_.uniform_int(-1, 1);
+        }
+        if (r == kEdges.size() + 1) return rng_.uniform_int(0, 3 * kSpan);
+        return rng_.uniform_int(0, kBucket);
+      }
+      case Regime::kSameInstant:
+        if (instant_ >= ref_now_ && rng_.chance(0.7)) return instant_ - ref_now_;
+        return rng_.chance(0.5) ? 0 : rng_.uniform_int(0, kBucket);
+      case Regime::kFar:
+        if (rng_.chance(0.05)) return rng_.uniform_int(kSpan, kHuge);
+        return kSpan + rng_.uniform_int(0, 8 * kSpan);
+    }
+    return 0;
+  }
+
+  void schedule_at(Time t) {
+    const std::uint64_t id = next_id_++;
+    ref_.emplace(std::max(t, ref_now_), id);
+    sim_.at(t, [this, id] { on_run(id); });
+  }
+
+  void on_run(std::uint64_t id) {
+    if (broken_) return;
+    // The reference's choice: the least key, or the chooser's pick among
+    // the window of least keys; the others stay queued with their keys.
+    auto expected = ref_.begin();
+    if (window_ != 0 && ref_.size() >= 2) {
+      const std::size_t staged = std::min(window_, ref_.size());
+      if (staged_ != staged) {
+        fail("chooser saw " + std::to_string(staged_) + " staged, reference " +
+             std::to_string(staged));
+        return;
+      }
+      std::advance(expected, static_cast<std::ptrdiff_t>(picked_));
+    } else if (staged_ != 0) {
+      fail("chooser ran with " + std::to_string(ref_.size()) + " pending");
+      return;
+    }
+    staged_ = 0;
+    if (expected->second != id) {
+      fail("ran event " + std::to_string(id) + ", reference " +
+           std::to_string(expected->second) + " at " +
+           std::to_string(expected->first));
+      return;
+    }
+    ref_now_ = std::max(ref_now_, expected->first);
+    ref_.erase(expected);
+    ++runs_;
+    EXPECT_EQ(sim_.now(), ref_now_) << "event " << id;
+    check_pending("inside an event");
+
+    std::uint64_t children = 0;
+    if (ref_.size() < target_) {
+      children = rng_.chance(0.5) ? 2 : 1;
+    } else {
+      children = rng_.chance(0.4) ? 1 : 0;
+    }
+    for (; children > 0; --children) {
+      const std::uint64_t how = rng_.next_below(8);
+      if (how == 0) {
+        // after(): a relative delay, negative ones clamped to now.
+        const Duration d = rng_.chance(0.1) ? -rng_.uniform_int(1, kSpan)
+                                            : draw_delay();
+        const std::uint64_t child = next_id_++;
+        ref_.emplace(ref_now_ + std::max<Duration>(d, 0), child);
+        sim_.after(d, [this, child] { on_run(child); });
+      } else if (how == 1) {
+        schedule_at(ref_now_ - rng_.uniform_int(1, kSpan));  // in the past
+      } else {
+        schedule_at(ref_now_ + draw_delay());
+      }
+    }
+    check_pending("after scheduling from an event");
+  }
+
+  void check_pending(const char* where) {
+    EXPECT_EQ(sim_.pending(), ref_.size()) << where;
+    // Only a chooser runs events out of order, and so only a chooser can
+    // leave the clock behind the cursor and keys behind it.
+    if (!with_chooser_) {
+      EXPECT_EQ(sim_.behind_cursor(), 0u) << where;
+    }
+  }
+
+  void fail(const std::string& what) {
+    ADD_FAILURE() << "seed " << seed_ << ", after " << runs_
+                  << " events: " << what;
+    broken_ = true;
+    sim_.stop();
+  }
+
+  const std::uint64_t seed_;
+  Rng rng_;
+  Rng picks_;
+  const bool with_chooser_;
+  Simulator sim_;
+  std::set<std::pair<Time, std::uint64_t>> ref_;  // (time, scheduling order)
+  Time ref_now_ = 0;
+  std::uint64_t next_id_ = 0;
+  std::uint64_t runs_ = 0;
+  Regime regime_ = Regime::kMix;
+  std::size_t target_ = 0;
+  Time instant_ = 0;
+  std::size_t window_ = 0;  // 0: no chooser installed
+  std::size_t staged_ = 0;  // what the chooser last saw and picked
+  std::size_t picked_ = 0;
+  bool broken_ = false;
+};
+
+TEST(QueueOrderTest, MatchesSortedReference) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    QueueOrderDriver driver(seed, false);
+    EXPECT_GE(driver.drive(50'000), 50'000u) << "seed " << seed;
+  }
+}
+
+TEST(QueueOrderTest, ChooserMatchesStagedReference) {
+  for (std::uint64_t seed = 101; seed <= 120; ++seed) {
+    QueueOrderDriver driver(seed, true);
+    EXPECT_GE(driver.drive(50'000), 50'000u) << "seed " << seed;
+  }
 }
 
 // ---------------------------------------------------------------- node ids
