@@ -176,6 +176,10 @@ Cluster::~Cluster() = default;
 
 void Cluster::preload(std::uint64_t count, std::uint64_t size_bytes,
                       kv::ObjectId first_oid) {
+  if (count != 0 && count - 1 > ~kv::ObjectId{0} - first_oid) {
+    throw std::length_error("Cluster::preload: range runs past the largest "
+                            "oid");
+  }
   // One placement pass sets, for each storage node, one bit per object it
   // holds; each node keeps its bits instead of a version per object.
   std::vector<std::vector<bool>> held(storage_.size(),

@@ -117,7 +117,9 @@ class Cluster {
 
   /// Directly installs `count` objects of `size_bytes` on all replicas
   /// (bypassing the protocol), so reads have data from t=0 — the YCSB load
-  /// phase. `first_oid` offsets the key range (tenant namespaces).
+  /// phase. `first_oid` offsets the key range (tenant namespaces). Throws
+  /// std::length_error, loading nothing, when the range runs past oid
+  /// 2^64-1.
   void preload(std::uint64_t count, std::uint64_t size_bytes,
                kv::ObjectId first_oid = 0);
 

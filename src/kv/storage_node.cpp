@@ -113,6 +113,12 @@ bool freshest_wins(PackedVersion& stored, const PackedVersion& incoming) {
 
 void StorageNode::load(ObjectId first, std::uint64_t size_bytes,
                        std::vector<bool> held) {
+  // A range past the largest oid would wrap to oids 0, 1, ..., which
+  // BulkLoad::holds never answers for.
+  if (!held.empty() && held.size() - 1 > ~ObjectId{0} - first) {
+    throw std::length_error("kv::StorageNode::load: range runs past the "
+                            "largest oid");
+  }
   BulkLoad added{first, size_bytes, std::move(held)};
   // The per-object path's check: throws std::length_error for a size past
   // its packed field before anything is installed.

@@ -146,7 +146,8 @@ class StorageNode {
   /// = oid, `size_bytes`). The node keeps the bits, not a version per
   /// object. A held object's written version is dropped, as preload()
   /// would replace it. Throws std::length_error, installing nothing, when
-  /// `size_bytes` is past PackedVersion::kSizeLimit.
+  /// `size_bytes` is past PackedVersion::kSizeLimit or the range runs past
+  /// oid 2^64-1.
   void load(ObjectId first, std::uint64_t size_bytes, std::vector<bool> held);
 
   /// Installs a version directly, bypassing the protocol (tests).

@@ -885,6 +885,23 @@ TEST_F(StoreModelFixture, LoadEndingAtTheLargestOidKeepsOtherWrittenVersions) {
   EXPECT_EQ(as_fields(node->sorted_contents()), as_fields(model));
 }
 
+TEST_F(StoreModelFixture, LoadPastTheLargestOidThrowsAndInstallsNothing) {
+  write(0, written_version(1));
+  write(1, written_version(2));
+  write(kLargestOid - 1, written_version(3));
+  // Five bits from 2^64-4 would wrap to oid 0.
+  EXPECT_THROW(node->load(kLargestOid - 3, 4096,
+                          {true, true, true, true, true}),
+               std::length_error);
+  EXPECT_EQ(node->written().size(), 3u);
+  EXPECT_EQ(node->object_count(), model.size());
+  EXPECT_EQ(as_fields(node->sorted_contents()), as_fields(model));
+  for (const ObjectId oid : {ObjectId{0}, ObjectId{1}, kLargestOid - 3,
+                             kLargestOid - 1, kLargestOid}) {
+    expect_read(oid);
+  }
+}
+
 // ------------------------------------------------------------ bulk load
 //
 // Cluster::preload places each object once and sets one bit per object on
@@ -896,7 +913,8 @@ TEST_F(StoreModelFixture, LoadEndingAtTheLargestOidKeepsOtherWrittenVersions) {
 void place(const Placement& placement, std::uint64_t count,
            std::uint64_t size_bytes, ObjectId first_oid,
            std::vector<std::map<ObjectId, Version>>& expected) {
-  for (ObjectId oid = first_oid; oid < first_oid + count; ++oid) {
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const ObjectId oid = first_oid + i;
     Version v;
     v.value = oid;
     v.size_bytes = size_bytes;
@@ -948,6 +966,18 @@ TEST(BulkLoadTest, ThreeHundredNodesEachHoldTheirPlacementShare) {
   place(cluster.placement(), 6000, 4096, 100, expected);
   expect_contents(cluster, expected);
   EXPECT_FALSE(expected[299].empty());
+}
+
+TEST(BulkLoadTest, PreloadPastTheLargestOidThrowsAndLoadsNothing) {
+  ClusterConfig config;
+  Cluster cluster(config);
+  std::vector<std::map<ObjectId, Version>> expected(config.num_storage);
+  EXPECT_THROW(cluster.preload(5, 4096, kLargestOid - 3), std::length_error);
+  expect_contents(cluster, expected);
+  // A range that ends at the largest oid loads.
+  cluster.preload(4, 4096, kLargestOid - 3);
+  place(cluster.placement(), 4, 4096, kLargestOid - 3, expected);
+  expect_contents(cluster, expected);
 }
 
 // ------------------------------------------------ storage write dedup window
