@@ -115,6 +115,24 @@ TEST(SimulatorTest, StepProcessesOneEvent) {
   EXPECT_FALSE(sim.step());
 }
 
+TEST(SimulatorTest, FarKeyRunsBeforeLaterKeysOfItsBucket) {
+  // A key one ring span past the cursor waits in the far heap. Popping an
+  // event one bucket later moves the cursor, which makes the far key's
+  // bucket the ring's last: the far key must enter it before a later key
+  // scheduled into the same bucket does.
+  Simulator sim;
+  const Time far = Simulator::kRingSpan;
+  std::vector<int> order;
+  sim.at(far, [&] { order.push_back(2); });
+  sim.at(Simulator::kBucketWidth, [&] {
+    order.push_back(1);
+    sim.at(far + 1, [&] { order.push_back(3); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sim.now(), far + 1);
+}
+
 // ------------------------------------------------------------- event store
 
 /// Heap object that counts its own destruction; held by std::unique_ptr so
