@@ -79,7 +79,6 @@ void Simulator::link(std::uint32_t slot) {
   s.next = *next;
   *next = slot;
   occupied_[i / 64] |= bit(i % 64);
-  summary_[i / 64 / 64] |= bit(i / 64 % 64);
   ++in_ring_;
 }
 
@@ -111,15 +110,8 @@ std::size_t Simulator::next_bucket() const noexcept {
       static_cast<std::size_t>(cursor_) & (kRingBuckets - 1);
   std::size_t word = start / 64;
   std::uint64_t bits = occupied_[word] & (~std::uint64_t{0} << (start % 64));
-  if (bits == 0) {
-    const std::size_t from = (word + 1) % kRingWords;
-    std::size_t group = from / 64;
-    std::uint64_t words = summary_[group] & (~std::uint64_t{0} << (from % 64));
-    while (words == 0) {
-      group = (group + 1) % (kRingWords / 64);
-      words = summary_[group];
-    }
-    word = group * 64 + lowest(words);
+  while (bits == 0) {
+    word = (word + 1) % kRingWords;
     bits = occupied_[word];
   }
   return word * 64 + lowest(bits);
@@ -164,10 +156,7 @@ std::uint32_t Simulator::pop_least(Time until) {
   const Slot& s = slab_[slot];
   if (s.time > until) return kNoSlot;
   ring_[i] = s.next;
-  if (s.next == kNoSlot) {
-    occupied_[i / 64] &= ~bit(i % 64);
-    if (occupied_[i / 64] == 0) summary_[i / 64 / 64] &= ~bit(i / 64 % 64);
-  }
+  if (s.next == kNoSlot) occupied_[i / 64] &= ~bit(i % 64);
   --in_ring_;
   advance(s.time >> kBucketBits);
   return slot;

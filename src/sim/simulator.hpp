@@ -5,11 +5,10 @@
 // one move-only callable stored inline. The queue is a ring of 2^15 buckets
 // of 2^13 ns (8.2 us each, a 268 ms horizon ahead of its cursor); each
 // bucket is a list of slots sorted by (time, seq), threaded through the
-// slots themselves, and a two-level bitmap of the non-empty buckets finds
-// the next one in a few word reads. Keys past the horizon wait in a small
-// binary heap and enter the ring as the cursor reaches them; keys behind
-// the cursor, which only the test-only schedule chooser makes, wait in a
-// small sorted side list.
+// slots themselves, and a bitmap of the non-empty buckets finds the next
+// one. Keys past the horizon wait in a small binary heap and enter the
+// ring as the cursor reaches them; keys behind the cursor, which only the
+// test-only schedule chooser makes, wait in a small sorted side list.
 // Events scheduled for the same instant run in scheduling order (a
 // monotone sequence number breaks ties), which makes every run bit-for-bit
 // reproducible from its seed. The ring is allocated at construction;
@@ -249,13 +248,12 @@ class Simulator {
 
   std::vector<Slot> slab_;  // grows only at a new pending-event high mark
   std::uint32_t free_head_ = kNoSlot;
-  // The ring: the first slot of each bucket's list, one bit per non-empty
-  // bucket, and one bit per non-zero word of those.
+  // The ring: the first slot of each bucket's list and one bit per
+  // non-empty bucket.
   std::vector<std::uint32_t> ring_ =
       std::vector<std::uint32_t>(kRingBuckets, kNoSlot);
   std::vector<std::uint64_t> occupied_ =
       std::vector<std::uint64_t>(kRingWords);
-  std::uint64_t summary_[kRingWords / 64] = {};
   std::size_t in_ring_ = 0;
   // The ring's first bucket number (time >> kBucketBits): that of the last
   // popped ring key, or of the far key a jump over an idle gap pulled in.
